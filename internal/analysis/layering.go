@@ -9,7 +9,7 @@ import (
 // reusable and testable in isolation. The leaf layers — core, matching,
 // maxflow, netsim, obsv, policy, xrand — hold pure algorithms over plain data and
 // must never reach up into the orchestration layers (driver, experiments,
-// sim, manager, custodyd) or into the binaries (cmd/*). Upward imports
+// manager, custodyd) or into the binaries (cmd/*). Upward imports
 // would drag simulation state, experiment configuration, or I/O into the
 // hot paths and make the kernel impossible to verify against the paper's
 // algorithms. obsv is the decision-provenance leaf: core, manager, and
@@ -23,7 +23,7 @@ type Layering struct{}
 var leafLayers = []string{"core", "matching", "maxflow", "netsim", "obsv", "policy", "xrand"}
 
 // forbiddenLayers are the orchestration packages leaves must not import.
-var forbiddenLayers = []string{"driver", "experiments", "sim", "manager", "custodyd"}
+var forbiddenLayers = []string{"driver", "experiments", "manager", "custodyd"}
 
 // Name implements Analyzer.
 func (Layering) Name() string { return "layering" }
@@ -31,7 +31,7 @@ func (Layering) Name() string { return "layering" }
 // Doc implements Analyzer.
 func (Layering) Doc() string {
 	return "leaf layers (internal/core, matching, maxflow, netsim, obsv, policy, xrand) must not import " +
-		"orchestration layers (internal/driver, experiments, sim, manager, custodyd) or cmd/*"
+		"orchestration layers (internal/driver, experiments, manager, custodyd) or cmd/*"
 }
 
 // Run implements Analyzer.

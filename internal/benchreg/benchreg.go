@@ -57,19 +57,10 @@ type Report struct {
 	Schema      int     `json:"schema"`
 	Mode        string  `json:"mode"` // "quick" or "full"
 	YardstickNs float64 `json:"yardstick_ns"`
-	// GOMAXPROCS records the parallelism the run had available. The shard
-	// sweep's speedups are only meaningful relative to it: the parallel
-	// build cannot beat sequential on a single-core runner.
-	GOMAXPROCS int `json:"gomaxprocs"`
 	// Speedup1000 is reference ns/op ÷ incremental ns/op on the 1000-node
 	// microbenchmark, both measured in this run.
 	Speedup1000 float64 `json:"speedup_1000"`
-	// ShardSpeedup100k is round latency at shards=1 ÷ shards=16 on the
-	// 100k-node instance, both measured in this run. Informational, never
-	// gated: it scales with GOMAXPROCS, so a fixed floor would make the
-	// gate's verdict depend on the runner's core count.
-	ShardSpeedup100k float64 `json:"shard_speedup_100k,omitempty"`
-	Cases            []Case  `json:"cases"`
+	Cases       []Case  `json:"cases"`
 }
 
 // Find returns the named case, or nil.
@@ -88,26 +79,15 @@ const (
 	CaseAlloc1000  = "alloc-1000/incremental"
 	CaseRef1000    = "alloc-1000/reference"
 	CaseAlloc5000  = "alloc-5000/incremental"
+	CaseAlloc100k  = "alloc-100k"
 	caseSweepSizes = 25
 )
-
-// ShardCase names one shard-sweep case: alloc-50k/shards-4 and friends.
-func ShardCase(nodes, shards int) string {
-	return fmt.Sprintf("alloc-%dk/shards-%d", nodes/1000, shards)
-}
 
 // PolicyCase names one policy-contender case: alloc-1k/policy-quincy and
 // friends.
 func PolicyCase(name string) string {
 	return fmt.Sprintf("alloc-1k/policy-%s", name)
 }
-
-// The shard sweep grid: cluster sizes × shard counts, run warm like the
-// other alloc cases.
-var (
-	shardSweepNodes  = []int{50000, 100000}
-	shardSweepShards = []int{1, 4, 16}
-)
 
 // MicroInstance builds the deterministic allocation microbenchmark instance:
 // nodes nodes with two 2-slot executors each, eight applications with a
@@ -185,7 +165,7 @@ func RunProfiled(quick bool, seed uint64, profileDir string) (*Report, error) {
 			return c
 		}
 	}
-	rep := &Report{Schema: Schema, Mode: mode(quick), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	rep := &Report{Schema: Schema, Mode: mode(quick)}
 
 	// Fig. 7–10 shrunken grid through the full simulation stack.
 	opts := experiments.DefaultOptions()
@@ -256,27 +236,17 @@ func RunProfiled(quick bool, seed uint64, profileDir string) (*Report, error) {
 		}, func() { p.Allocate(demands1k, idle1k, coreOpts) }))
 	}
 
-	// Shard sweep: 100k-node-scale rounds at increasing shard counts. The
-	// demand profile is the same fixed MicroInstance workload, so these
-	// instances are cluster-heavy — exactly the regime where the sharded
-	// session build matters (DESIGN.md §14).
-	for _, nodes := range shardSweepNodes {
-		demands, idle := MicroInstance(nodes, xrand.New(seed))
-		for _, shards := range shardSweepShards {
-			shardOpts := core.DefaultOptions()
-			shardOpts.Shards = shards
-			shardSess := core.NewSession()
-			rep.Cases = append(rep.Cases, measure(ShardCase(nodes, shards), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					shardSess.Allocate(demands, idle, shardOpts)
-				}
-			}, func() { shardSess.Allocate(demands, idle, shardOpts) }))
+	// One warm round at 100k nodes: the same fixed MicroInstance demand
+	// on a cluster-heavy instance, the regime where the session's pool
+	// build dominates round latency.
+	demands100k, idle100k := MicroInstance(100000, xrand.New(seed))
+	sess100k := core.NewSession()
+	rep.Cases = append(rep.Cases, measure(CaseAlloc100k, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sess100k.Allocate(demands100k, idle100k, coreOpts)
 		}
-	}
-	if c1, c16 := rep.Find(ShardCase(100000, 1)), rep.Find(ShardCase(100000, 16)); c1 != nil && c16 != nil && c16.NsPerOp > 0 {
-		rep.ShardSpeedup100k = c1.NsPerOp / c16.NsPerOp
-	}
+	}, func() { sess100k.Allocate(demands100k, idle100k, coreOpts) }))
 
 	rep.YardstickNs = ref1k.NsPerOp
 	for i := range rep.Cases {

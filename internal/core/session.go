@@ -21,15 +21,15 @@ type Session struct {
 	appArena  []appState
 	jobArena  []jobState
 	taskArena []taskState
-	jobMeta   []shardJobMeta // sharded-build scratch; see buildAppsSharded
-	occOff    []int32        // sharded-build scratch: task i's replica occurrences are occ[occOff[i]:occOff[i+1]]
-	occ       []int64        // sharded-build scratch: resolved (shard, node index) per occurrence, -1 if the node has no executors
 }
 
 // NewSession returns an empty allocation session.
 func NewSession() *Session {
 	s := &Session{}
-	s.st.pool = &execPool{}
+	s.st.pool = &execPool{
+		byNode: map[int]int32{},
+		naIdx:  map[naKey]int32{},
+	}
 	return s
 }
 
@@ -48,7 +48,7 @@ func (s *Session) Allocate(apps []AppDemand, idle []ExecInfo, opts Options) Plan
 	if st.obs != nil {
 		st.obs.BeginRound(len(apps), len(idle))
 	}
-	st.pool.reset(idle, opts.Shards, opts.ShardFn)
+	st.pool.reset(idle)
 	s.buildApps(apps)
 	st.heapInit()
 	st.run()
@@ -57,10 +57,6 @@ func (s *Session) Allocate(apps []AppDemand, idle []ExecInfo, opts Options) Plan
 
 // buildApps fills the app/job/task arenas from the demand snapshot and
 // posts every pending task's replica nodes into the pool's locality index.
-// With more than one shard the arena fill, posting walk, and availability
-// counters run on the parallel worker phases in shard.go; the sequential
-// loop below is the one-shard (default) path and the semantic model the
-// sharded build must reproduce exactly.
 func (s *Session) buildApps(apps []AppDemand) {
 	st := &s.st
 	nJobs, nTasks := 0, 0
@@ -75,11 +71,6 @@ func (s *Session) buildApps(apps []AppDemand) {
 	s.taskArena = grow(s.taskArena, nTasks)
 	st.apps = st.apps[:0]
 	st.heap = st.heap[:0]
-
-	if st.pool.nShards > 1 {
-		s.buildAppsSharded(apps, nJobs, nTasks)
-		return
-	}
 
 	jb, tb := 0, 0
 	for i := range apps {
@@ -172,28 +163,6 @@ type naKey struct {
 	app  int
 }
 
-// poolShard holds the node-keyed index structures for one build shard: the
-// nodes whose IDs hash to the shard, their executor indexes, and the
-// (node, app) slices of the locality index. With one shard (the default)
-// the whole pool lives in shards[0]; with more, the shards are built by
-// parallel workers writing disjoint arenas (see shard.go) and consulted by
-// the sequential decision loop through shardFor, which routes each node to
-// its owning shard. Executor entries themselves stay in execPool.execs —
-// one global array in ascending executor-ID order — so every pick-order
-// contract (lowest ID wins, app-reserved first) is shard-agnostic.
-type poolShard struct {
-	nodes    []nodeState
-	nodesLen int
-	byNode   map[int]int32 // node ID → index into nodes
-
-	na    []nodeApp
-	naLen int
-	naIdx map[naKey]int32
-
-	pre  []int32 // this shard's executor indices, ascending; filled by reset's partition pass
-	size int     // free slots on this shard's nodes; merged in fixed shard order
-}
-
 // execPool indexes idle executor slots by node for locality lookups, with
 // availability counters that keep per-app satisfiability (appState.satOwn /
 // satUnres) current in amortized O(1) per grant.
@@ -201,167 +170,97 @@ type execPool struct {
 	execs []poolExec // ascending executor ID
 	size  int        // total free slots
 
-	shards  []poolShard // arenas persist across rounds; first nShards active
-	nShards int
-	shardFn func(node int) int
+	nodes    []nodeState
+	nodesLen int
+	byNode   map[int]int32 // node ID → index into nodes
 
+	na     []nodeApp
+	naLen  int
+	naIdx  map[naKey]int32
 	cursor int // global min-unreserved scan over execs (takeAny)
 }
 
-// reset rebuilds the pool for a new round, reusing all arenas. nShards and
-// shardFn come from Options; with nShards > 1 the per-shard node indexes
-// are built by parallel workers and their sizes merged in fixed shard
-// order.
-func (p *execPool) reset(idle []ExecInfo, nShards int, shardFn func(node int) int) {
-	if nShards < 1 {
-		nShards = 1
-	}
-	p.nShards = nShards
-	p.shardFn = shardFn
-	for len(p.shards) < nShards {
-		p.shards = append(p.shards, poolShard{byNode: map[int]int32{}, naIdx: map[naKey]int32{}})
-	}
-	for s := 0; s < nShards; s++ {
-		sh := &p.shards[s]
-		sh.nodesLen = 0
-		sh.naLen = 0
-		sh.size = 0
-		sh.pre = sh.pre[:0]
-		clear(sh.byNode)
-		clear(sh.naIdx)
-	}
+// reset rebuilds the pool for a new round, reusing all arenas.
+func (p *execPool) reset(idle []ExecInfo) {
 	p.execs = grow(p.execs, len(idle))
 	for i, e := range idle {
 		p.execs[i] = poolExec{info: e, free: int32(e.slots()), app: -1}
 	}
 	sort.Slice(p.execs, func(i, j int) bool { return p.execs[i].info.ID < p.execs[j].info.ID })
 	p.size = 0
+	p.nodesLen = 0
+	p.naLen = 0
 	p.cursor = 0
-	if nShards == 1 {
-		p.buildShard(0)
-		p.size = p.shards[0].size
-		return
-	}
-	// Partition pass: compute each executor's shard exactly once and hand
-	// the index to that shard's pre-list. The scan follows the global
-	// ID-ascending order, so every pre-list is ascending too — and total
-	// build work stays ~flat in the shard count (at most one hash per
-	// executor plus the same index inserts the one-shard build does),
-	// instead of every worker re-scanning the full array. Executors sorted
-	// by ID usually arrive node-clustered, so memoizing the last node's
-	// shard skips most hash evaluations.
-	lastNode, lastShard := 0, 0
+	clear(p.byNode)
+	clear(p.naIdx)
 	for i := range p.execs {
-		n := p.execs[i].info.Node
-		if i == 0 || n != lastNode {
-			lastNode, lastShard = n, p.shardOf(n)
+		pe := &p.execs[i]
+		ni, ok := p.byNode[pe.info.Node]
+		if !ok {
+			ni = p.newNode()
+			p.byNode[pe.info.Node] = ni
 		}
-		p.shards[lastShard].pre = append(p.shards[lastShard].pre, int32(i))
-	}
-	p.buildShardsParallel()
-	for s := 0; s < nShards; s++ { // fixed shard order; sizes merge by sum
-		p.size += p.shards[s].size
+		ns := &p.nodes[ni]
+		ns.execIdx = append(ns.execIdx, int32(i))
+		ns.unres++
+		p.size += int(pe.free)
 	}
 }
 
-// buildShard indexes shard s's executors — the whole ID-ordered array with
-// one shard, the shard's pre-partitioned index list otherwise. Both walks
-// follow ascending executor ID, so every per-node execIdx list comes out
-// ascending — the tie-stamp ordering minUnres and the availability
-// transitions rely on.
-func (p *execPool) buildShard(s int) {
-	sh := &p.shards[s]
-	if p.nShards == 1 {
-		for i := range p.execs {
-			p.indexExec(sh, int32(i))
-		}
-		return
-	}
-	if mutateShardTieStamp {
-		// Seeded bug (build tag custodymutateshard): walk the pre-list in
-		// reverse, so per-node executor lists come out descending by ID —
-		// breaking the tie-stamp ordering the merge contract guarantees.
-		for x := len(sh.pre) - 1; x >= 0; x-- {
-			p.indexExec(sh, sh.pre[x])
-		}
-		return
-	}
-	for _, i := range sh.pre {
-		p.indexExec(sh, i)
-	}
-}
-
-// indexExec registers executor i in shard sh's node index.
-func (p *execPool) indexExec(sh *poolShard, i int32) {
-	pe := &p.execs[i]
-	ni, ok := sh.byNode[pe.info.Node]
-	if !ok {
-		ni = sh.newNode()
-		sh.byNode[pe.info.Node] = ni
-	}
-	ns := &sh.nodes[ni]
-	ns.execIdx = append(ns.execIdx, i)
-	ns.unres++
-	sh.size += int(pe.free)
-}
-
-func (sh *poolShard) newNode() int32 {
-	if sh.nodesLen < len(sh.nodes) {
-		ns := &sh.nodes[sh.nodesLen]
+func (p *execPool) newNode() int32 {
+	if p.nodesLen < len(p.nodes) {
+		ns := &p.nodes[p.nodesLen]
 		ns.execIdx = ns.execIdx[:0]
 		ns.posts = ns.posts[:0]
 		ns.cursor = 0
 		ns.unres = 0
 	} else {
-		sh.nodes = append(sh.nodes, nodeState{})
+		p.nodes = append(p.nodes, nodeState{})
 	}
-	sh.nodesLen++
-	return int32(sh.nodesLen - 1)
+	p.nodesLen++
+	return int32(p.nodesLen - 1)
 }
 
 // nodeApp returns the (node, app) index entry, creating it on first use.
 //
 //custody:noalloc
-func (sh *poolShard) nodeApp(ni int32, app int) int32 {
+func (p *execPool) nodeApp(ni int32, app int) int32 {
 	key := naKey{node: ni, app: app}
-	if i, ok := sh.naIdx[key]; ok {
+	if i, ok := p.naIdx[key]; ok {
 		return i
 	}
 	var i int32
-	if sh.naLen < len(sh.na) {
-		i = int32(sh.naLen)
-		na := &sh.na[i]
+	if p.naLen < len(p.na) {
+		i = int32(p.naLen)
+		na := &p.na[i]
 		na.posts = na.posts[:0]
 		na.execIdx = na.execIdx[:0]
 		na.cursor = 0
 		na.ownFree = 0
 	} else {
-		i = int32(len(sh.na))
-		sh.na = append(sh.na, nodeApp{}) //custody:ignore noalloc na arena grows only until the (node, app) working set is warm
+		i = int32(len(p.na))
+		p.na = append(p.na, nodeApp{}) //custody:ignore noalloc na arena grows only until the (node, app) working set is warm
 	}
-	sh.naLen++
-	sh.naIdx[key] = i
+	p.naLen++
+	p.naIdx[key] = i
 	return i
 }
 
 // post registers a pending task's replica nodes in the locality index and
 // initializes its unreserved-availability counter. Nodes without executors
 // are not posted: they can never satisfy the task and never transition.
-// Single-shard build path; the sharded build reproduces the same postings
-// via the per-shard posting walk in shard.go.
 //
 //custody:noalloc
 func (p *execPool) post(t *taskState) {
 	for _, n := range t.d.Nodes {
-		sh := p.shardFor(n)
-		ni, ok := sh.byNode[n]
+		ni, ok := p.byNode[n]
 		if !ok {
 			continue
 		}
-		ns := &sh.nodes[ni]
+		ns := &p.nodes[ni]
 		ns.posts = append(ns.posts, t) //custody:ignore noalloc posts arenas keep their capacity across rounds; growth stops once warm
-		nai := sh.nodeApp(ni, t.owner.d.App)
-		na := &sh.na[nai]
+		nai := p.nodeApp(ni, t.owner.d.App)
+		na := &p.na[nai]
 		na.posts = append(na.posts, t) //custody:ignore noalloc posts arenas keep their capacity across rounds; growth stops once warm
 		t.unresAvail++                 // at build time every executor is unreserved
 	}
@@ -385,7 +284,8 @@ func (p *execPool) minUnres(ns *nodeState) int32 {
 // on the node, or -1.
 //
 //custody:noalloc
-func (p *execPool) minOwnFree(na *nodeApp) int32 {
+func (p *execPool) minOwnFree(nai int32) int32 {
+	na := &p.na[nai]
 	for int(na.cursor) < len(na.execIdx) {
 		ei := na.execIdx[na.cursor]
 		if p.execs[ei].free > 0 {
@@ -422,18 +322,17 @@ func (p *execPool) takeOnAny(nodes []int, a *appState) (e ExecInfo, newExec, ok 
 	best := int32(-1)
 	bestRes := false
 	for _, n := range nodes {
-		sh := p.shardFor(n)
-		ni, present := sh.byNode[n]
+		ni, present := p.byNode[n]
 		if !present {
 			continue
 		}
-		if nai, has := sh.naIdx[naKey{node: ni, app: a.d.App}]; has {
-			if ei := p.minOwnFree(&sh.na[nai]); ei >= 0 && p.better(ei, true, best, bestRes) {
+		if nai, has := p.naIdx[naKey{node: ni, app: a.d.App}]; has {
+			if ei := p.minOwnFree(nai); ei >= 0 && p.better(ei, true, best, bestRes) {
 				best, bestRes = ei, true
 			}
 		}
 		if allowNew {
-			ns := &sh.nodes[ni]
+			ns := &p.nodes[ni]
 			if ns.unres > 0 {
 				if ei := p.minUnres(ns); ei >= 0 && p.better(ei, false, best, bestRes) {
 					best, bestRes = ei, false
@@ -483,18 +382,17 @@ func (p *execPool) takeAny(a *appState) (e ExecInfo, newExec, ok bool) {
 func (p *execPool) takeSlot(ei int32, a *appState) (ExecInfo, bool, bool) {
 	pe := &p.execs[ei]
 	newExec := pe.reserved == 0
-	sh := p.shardFor(pe.info.Node)
-	ni := sh.byNode[pe.info.Node]
+	ni := p.byNode[pe.info.Node]
 	if newExec {
 		pe.reserved = 1
 		pe.app = a.d.App
-		ns := &sh.nodes[ni]
+		ns := &p.nodes[ni]
 		ns.unres--
 		if ns.unres == 0 {
 			p.drainUnres(ns)
 		}
-		nai := sh.nodeApp(ni, a.d.App)
-		na := &sh.na[nai]
+		nai := p.nodeApp(ni, a.d.App)
+		na := &p.na[nai]
 		na.execIdx = append(na.execIdx, ei) //custody:ignore noalloc execIdx arenas keep their capacity across rounds; growth stops once warm
 		pushIntHeap(&a.resHeap, ei)
 		pe.free--
@@ -505,8 +403,8 @@ func (p *execPool) takeSlot(ei int32, a *appState) (ExecInfo, bool, bool) {
 			}
 		}
 	} else {
-		nai := sh.naIdx[naKey{node: ni, app: a.d.App}] // created at claim time
-		na := &sh.na[nai]
+		nai := p.naIdx[naKey{node: ni, app: a.d.App}] // created at claim time
+		na := &p.na[nai]
 		pe.free--
 		if pe.free == 0 {
 			na.ownFree--

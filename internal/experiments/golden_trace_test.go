@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/driver"
+	"repro/internal/manager"
 	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -73,6 +74,47 @@ func TestGoldenTraces(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGoldenRackTrace pins a canonical Custody trace on a topology none of
+// the other goldens use — 32 nodes in 8-node racks, 3 apps — so
+// three-way contention for executors on wider racks has a golden of its
+// own. Regenerate after an intentional behavior change with:
+//
+//	go test ./internal/experiments -run TestGoldenRackTrace -update
+func TestGoldenRackTrace(t *testing.T) {
+	spec := workload.DefaultSpec(workload.WordCount)
+	spec.Apps = 3
+	spec.JobsPerApp = 2
+	sched := workload.Generate(spec, xrand.New(11))
+	cfg := driver.DefaultConfig()
+	cfg.Seed = 11
+	cfg.Nodes = 32
+	cfg.RackSize = 8
+	cfg.Manager = manager.NewCustody()
+	rec := trace.NewRecorder()
+	cfg.Tracer = rec
+	if _, err := driver.RunSchedule(cfg, sched); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "golden", "wordcount-custody-32n-rack8.trace")
+	if *updateGolden {
+		blessGolden(t, path, buf.Bytes())
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden trace: %v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		d := firstDiffLine(buf.Bytes(), want)
+		t.Fatalf("trace diverges from golden %s at line %d:\n got: %s\nwant: %s",
+			path, d, lineAt(buf.Bytes(), d), lineAt(want, d))
 	}
 }
 
