@@ -67,6 +67,12 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== perfbench module"
+# The end-to-end benchmark (perfbench/, its own module) wraps internal APIs
+# such as manager.Custody; vet and test it here so an API change that breaks
+# it fails this pipeline instead of the benchmark run.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== chaos smoke (-race)"
 go test -race -count=1 -run TestChaosSmoke ./internal/chaos
 
@@ -124,9 +130,9 @@ echo "== bench regression gate"
 # the incremental allocator drops below 5x the frozen reference at 1000
 # nodes. The report is left under artifacts/ for CI to upload. Bless a new
 # baseline with:
-#   go run ./cmd/custodybench -quick -emit-json BENCH_PR8.json
+#   go run ./cmd/custodybench -emit-json BENCH_PR8.json
 mkdir -p artifacts
-go run ./cmd/custodybench -quick -emit-json artifacts/bench-current.json -baseline BENCH_PR8.json
+go run ./cmd/custodybench -emit-json artifacts/bench-current.json -baseline BENCH_PR8.json
 
 echo "== observability sweep"
 # Small seeded run with every provenance sink attached: exercises the

@@ -11,8 +11,8 @@
 // It is also the entry point of the benchmark-regression harness
 // (internal/benchreg):
 //
-//	custodybench -quick -emit-json BENCH_PR8.json           # bless a baseline
-//	custodybench -quick -emit-json /tmp/b.json -baseline BENCH_PR8.json  # gate
+//	custodybench -emit-json BENCH_PR8.json                       # bless a baseline
+//	custodybench -emit-json /tmp/b.json -baseline BENCH_PR8.json  # gate
 package main
 
 import (
@@ -49,7 +49,7 @@ func main() {
 	}
 
 	if *emitJSON != "" {
-		runBenchHarness(*emitJSON, *baseline, *pprofDir, *quick, *seed)
+		runBenchHarness(*emitJSON, *baseline, *pprofDir, *seed)
 		return
 	}
 
@@ -208,15 +208,15 @@ const benchTolerance = 0.15
 // runBenchHarness runs the internal/benchreg cases, writes the JSON report,
 // and optionally enforces the regression gate against a committed baseline.
 // A non-empty profDir additionally captures per-case pprof profiles.
-func runBenchHarness(outPath, basePath, profDir string, quick bool, seed uint64) {
-	rep, err := benchreg.RunProfiled(quick, seed, profDir)
+func runBenchHarness(outPath, basePath, profDir string, seed uint64) {
+	rep, err := benchreg.RunProfiled(seed, profDir)
 	if err != nil {
 		fail(err)
 	}
 	if err := benchreg.WriteFile(outPath, rep); err != nil {
 		fail(err)
 	}
-	fmt.Printf("benchmark report written to %s (mode=%s, speedup_1000=%.1fx)\n", outPath, rep.Mode, rep.Speedup1000)
+	fmt.Printf("benchmark report written to %s (speedup_1000=%.1fx)\n", outPath, rep.Speedup1000)
 	if profDir != "" {
 		fmt.Printf("pprof profiles written to %s/ (one .cpu.pprof and .heap.pprof per case)\n", profDir)
 	}

@@ -49,7 +49,7 @@ func validateFlags(set map[string]bool, fig string, repeats int, emitJSON, basel
 			return fmt.Errorf("-pprof requires -emit-json")
 		}
 	} else {
-		for _, name := range []string{"fig", "repeats", "md", "bars"} {
+		for _, name := range []string{"fig", "quick", "repeats", "md", "bars"} {
 			if set[name] {
 				return fmt.Errorf("-%s applies to figure runs and contradicts -emit-json (the regression harness fixes its own cases)", name)
 			}

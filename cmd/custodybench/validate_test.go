@@ -45,6 +45,11 @@ func TestValidateFlags(t *testing.T) {
 			set:  map[string]bool{"bars": true},
 			want: "-bars applies to figure runs and contradicts -emit-json",
 		},
+		{
+			name: "emit-with-quick", fig: "all", repeats: 1, emitJSON: "out.json",
+			set:  map[string]bool{"quick": true},
+			want: "-quick applies to figure runs and contradicts -emit-json",
+		},
 		{name: "emit-plain", fig: "all", repeats: 1, emitJSON: "out.json"},
 		{
 			name: "repeats-on-ablation", fig: "approx", repeats: 3,

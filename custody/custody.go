@@ -139,9 +139,8 @@ type Config struct {
 	// Policy selects the Custody manager's allocation policy (DESIGN.md
 	// §16): "custody" (default, Algorithms 1+2), "quincy" (global min-cost
 	// flow), "wfair" (per-server weighted fair), or "locmatch"
-	// (Hopcroft-Karp + Hungarian locality matching). "" or "custody" keeps
-	// the built-in path byte-identical to previous releases. Custody
-	// manager only.
+	// (Hopcroft-Karp + Hungarian locality matching). "" selects
+	// "custody". Custody manager only.
 	Policy string
 }
 

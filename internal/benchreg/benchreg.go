@@ -55,7 +55,6 @@ type Case struct {
 // Report is one harness run: the unit of BENCH_*.json.
 type Report struct {
 	Schema      int     `json:"schema"`
-	Mode        string  `json:"mode"` // "quick" or "full"
 	YardstickNs float64 `json:"yardstick_ns"`
 	// Speedup1000 is reference ns/op ÷ incremental ns/op on the 1000-node
 	// microbenchmark, both measured in this run.
@@ -135,11 +134,10 @@ func MicroInstance(nodes int, rng *xrand.Rand) ([]core.AppDemand, []core.ExecInf
 	return demands, idle
 }
 
-// Run executes the harness and returns the report. Quick mode shrinks the
-// sweep workload (it is also what CI and the committed baselines use, so
-// comparisons are quick-vs-quick).
-func Run(quick bool, seed uint64) (*Report, error) {
-	return RunProfiled(quick, seed, "")
+// Run executes the harness and returns the report. The sweep case always
+// runs the quick (shrunken) workload.
+func Run(seed uint64) (*Report, error) {
+	return RunProfiled(seed, "")
 }
 
 // RunProfiled is Run with optional profile capture: when profileDir is
@@ -148,7 +146,7 @@ func Run(quick bool, seed uint64) (*Report, error) {
 // <dir>/<case>.cpu.pprof and <dir>/<case>.heap.pprof ("/" in case names
 // becomes "-"). Profiling skews ns/op slightly, so profiled runs should
 // not be blessed as baselines.
-func RunProfiled(quick bool, seed uint64, profileDir string) (*Report, error) {
+func RunProfiled(seed uint64, profileDir string) (*Report, error) {
 	if profileDir != "" {
 		if err := os.MkdirAll(profileDir, 0o755); err != nil {
 			return nil, fmt.Errorf("benchreg: %w", err)
@@ -165,7 +163,7 @@ func RunProfiled(quick bool, seed uint64, profileDir string) (*Report, error) {
 			return c
 		}
 	}
-	rep := &Report{Schema: Schema, Mode: mode(quick)}
+	rep := &Report{Schema: Schema}
 
 	// Fig. 7–10 shrunken grid through the full simulation stack.
 	opts := experiments.DefaultOptions()
@@ -216,8 +214,8 @@ func RunProfiled(quick bool, seed uint64, profileDir string) (*Report, error) {
 	rep.Cases = []Case{sweepCase, incr1k, ref1k, incr5k}
 
 	// Policy contenders on the same 1k-node instance. The custody policy is
-	// alloc-1000/incremental by construction (the manager short-circuits it
-	// to the warm session), so only the contenders get cases. They are
+	// alloc-1000/incremental by construction (it wraps a warm session), so
+	// only the contenders get cases. They are
 	// absent from the committed baseline, which makes them informational:
 	// the gate ranks them without failing CI on their drift (DESIGN.md §16).
 	for _, name := range policy.Names() {
@@ -259,13 +257,6 @@ func RunProfiled(quick bool, seed uint64, profileDir string) (*Report, error) {
 		return nil, fmt.Errorf("benchreg: profile capture: %w", profErr)
 	}
 	return rep, nil
-}
-
-func mode(quick bool) string {
-	if quick {
-		return "quick"
-	}
-	return "full"
 }
 
 // measureCase runs one case under testing.Benchmark and samples its peak
@@ -332,11 +323,6 @@ func profiledCase(name, dir string, bench func(b *testing.B), once func()) (Case
 // missing from the current run fail.
 func Compare(cur, base *Report, tol float64) []string {
 	var violations []string
-	if cur.Mode != base.Mode {
-		violations = append(violations,
-			fmt.Sprintf("mode mismatch: current %q vs baseline %q (compare like with like)", cur.Mode, base.Mode))
-		return violations
-	}
 	names := make([]string, 0, len(base.Cases))
 	for _, c := range base.Cases {
 		names = append(names, c.Name)

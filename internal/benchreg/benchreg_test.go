@@ -12,7 +12,6 @@ import (
 func sampleReport() *Report {
 	r := &Report{
 		Schema:      Schema,
-		Mode:        "quick",
 		YardstickNs: 1e8,
 		Speedup1000: 9.0,
 		Cases: []Case{
@@ -67,12 +66,7 @@ func TestCompareSpeedupFloor(t *testing.T) {
 	}
 }
 
-func TestCompareModeAndMissingCase(t *testing.T) {
-	cur := sampleReport()
-	cur.Mode = "full"
-	if v := Compare(cur, sampleReport(), 0.15); len(v) != 1 || !strings.Contains(v[0], "mode mismatch") {
-		t.Fatalf("mode mismatch not flagged: %v", v)
-	}
+func TestCompareMissingCase(t *testing.T) {
 	short := sampleReport()
 	short.Cases = short.Cases[:2]
 	v := Compare(short, sampleReport(), 0.15)
@@ -91,7 +85,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Mode != want.Mode || got.Speedup1000 != want.Speedup1000 || len(got.Cases) != len(want.Cases) {
+	if got.Schema != want.Schema || got.Speedup1000 != want.Speedup1000 || len(got.Cases) != len(want.Cases) {
 		t.Fatalf("round-trip mismatch: %+v vs %+v", got, want)
 	}
 	for i := range want.Cases {

@@ -375,12 +375,16 @@ func TestQuickPlanInvariants(t *testing.T) {
 }
 
 // Property: Custody's achieved max-min fraction of local tasks never exceeds
-// the fractional concurrent-flow upper bound.
+// the fractional concurrent-flow upper bound, including on multi-slot
+// executors, where one executor serves up to Slots local tasks.
 func TestQuickUpperBoundHolds(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		nodes := rng.IntRange(2, 6)
 		idle := execs(nodes)
+		for i := range idle {
+			idle[i].Slots = rng.IntRange(1, 4)
+		}
 		var apps []AppDemand
 		nApps := rng.IntRange(1, 3)
 		for a := 0; a < nApps; a++ {
@@ -447,21 +451,6 @@ func TestQuickGreedyTwoApprox(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTaskLocalityUpperBound(t *testing.T) {
-	jobs := []JobDemand{{Job: 1, Tasks: []TaskDemand{
-		task(1, 0, 0), task(2, 0, 0), // both tasks need node 0
-	}}}
-	// Two executors on node 0: both tasks can be local.
-	ex := []ExecInfo{{ID: 0, Node: 0}, {ID: 1, Node: 0}}
-	if got := TaskLocalityUpperBound(jobs, ex); got != 2 {
-		t.Fatalf("upper bound = %d, want 2", got)
-	}
-	// One executor on node 0: only one task can be local.
-	if got := TaskLocalityUpperBound(jobs, ex[:1]); got != 1 {
-		t.Fatalf("upper bound = %d, want 1", got)
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/matching"
-	"repro/internal/maxflow"
-)
+import "repro/internal/maxflow"
 
 // IntraObjective is the §IV-B objective value of an intra-application
 // allocation: Σ 1/µ_ij over locally-satisfied tasks, i.e. the (fractional)
@@ -41,115 +38,98 @@ func GreedyIntraObjective(jobs []JobDemand, idle []ExecInfo, budget int) (object
 }
 
 // OptimalIntraObjective solves the constrained bipartite matching problem of
-// Eq. (9)–(10) exactly with a min-cost flow of value at most budget: tasks on
-// the left, idle executors on the right, an edge of weight 1/µ_ij wherever
-// the executor's node stores the task's block. Successive shortest paths
-// are pushed only while they improve the objective, so the result is the
-// maximum-weight matching of cardinality ≤ budget.
+// Eq. (9)–(10) exactly with a min-cost flow of value at most budget over the
+// task→executor edges of BuildLocalityNetwork: each task edge weighs 1/µ_ij,
+// and each executor takes one task (Eq. 10's one-task-per-executor
+// capacity, whatever its Slots). Successive shortest paths are pushed only
+// while they improve the objective, so the result is the maximum-weight
+// matching of cardinality ≤ budget.
 func OptimalIntraObjective(jobs []JobDemand, idle []ExecInfo, budget int) float64 {
-	type taskRef struct {
-		weight float64
-		nodes  []int
-	}
-	var tasks []taskRef
-	for _, j := range jobs {
-		if len(j.Tasks) == 0 {
-			continue
-		}
-		w := 1.0 / float64(len(j.Tasks))
-		for _, t := range j.Tasks {
-			tasks = append(tasks, taskRef{weight: w, nodes: t.Nodes})
-		}
-	}
-	if len(tasks) == 0 || len(idle) == 0 || budget <= 0 {
+	if len(idle) == 0 || budget <= 0 {
 		return 0
 	}
-	execsByNode := map[int][]int{} // node → graph indices of executors
-	nTasks := len(tasks)
+	net := BuildLocalityNetwork([]AppDemand{{Jobs: jobs}}, idle)
+	if net.Tasks() == 0 {
+		return 0
+	}
 	// Node layout: 0 source, 1..nTasks tasks, then executors, then sink.
-	execBase := 1 + nTasks
+	execBase := 1 + net.Tasks()
 	sink := execBase + len(idle)
-	g := maxflow.NewMinCostGraph(sink + 1)
-	for i, e := range idle {
-		execsByNode[e.Node] = append(execsByNode[e.Node], execBase+i)
+	g := maxflow.NewGraph(sink + 1)
+	for i := range idle {
 		g.AddEdge(execBase+i, sink, 1, 0)
 	}
-	for i, t := range tasks {
-		g.AddEdge(0, 1+i, 1, 0)
-		seen := map[int]bool{}
-		for _, n := range t.nodes {
-			if seen[n] {
-				continue
+	ti := 0
+	for _, j := range jobs {
+		w := 1.0 / float64(len(j.Tasks))
+		for range j.Tasks {
+			g.AddEdge(0, 1+ti, 1, 0)
+			for _, e := range net.taskEdges(ti) {
+				g.AddEdge(1+ti, execBase+e[1], 1, -w)
 			}
-			seen[n] = true
-			for _, en := range execsByNode[n] {
-				g.AddEdge(1+i, en, 1, -t.weight)
-			}
+			ti++
 		}
 	}
 	_, cost := g.MinCostFlowImproving(0, sink, float64(budget))
 	return -cost
 }
 
-// TaskLocalityUpperBound computes, for a fixed executor-to-application
-// allocation, the maximum number of tasks that could run locally — the
-// maximum bipartite matching between tasks and the app's executors
-// (Hopcroft–Karp). This is the "upper bound performance that can be achieved
-// by task scheduling" (§III-B).
-func TaskLocalityUpperBound(jobs []JobDemand, executors []ExecInfo) int {
-	var adj [][]int
-	execsByNode := map[int][]int{}
-	for i, e := range executors {
-		execsByNode[e.Node] = append(execsByNode[e.Node], i)
-	}
-	for _, j := range jobs {
-		for _, t := range j.Tasks {
-			var row []int
-			seen := map[int]bool{}
-			for _, n := range t.Nodes {
-				if seen[n] {
-					continue
-				}
-				seen[n] = true
-				row = append(row, execsByNode[n]...)
-			}
-			adj = append(adj, row)
-		}
-	}
-	_, size := matching.HopcroftKarp(len(adj), len(executors), adj)
-	return size
-}
-
 // FractionalMaxMin computes the LP-relaxed maximum concurrent flow bound on
 // the max-min fraction of local tasks across applications (§III-B): no
 // allocation, integral or not, can give every application a larger fraction
-// simultaneously.
+// simultaneously. It binary-searches the largest λ ∈ [0,1] (within tol) for
+// which BuildLocalityNetwork's instance, with a super-source edge of
+// capacity λ·τ_i into each application and executor→sink capacity Slots,
+// routes every scaled demand. The commodities use disjoint task nodes, so
+// each probe is a single-commodity max-flow.
 func FractionalMaxMin(apps []AppDemand, idle []ExecInfo, tol float64) float64 {
-	execIdx := map[int]int{}
-	for i, e := range idle {
-		execIdx[e.ID] = i
+	if tol <= 0 {
+		tol = 1e-4
 	}
-	execsByNode := map[int][]int{}
-	for i, e := range idle {
-		execsByNode[e.Node] = append(execsByNode[e.Node], i)
+	net := BuildLocalityNetwork(apps, idle)
+	total := 0.0
+	for _, a := range net.Apps {
+		total += float64(a.Demand)
 	}
-	cands := make([][][]int, len(apps))
-	for ai, a := range apps {
-		for _, j := range a.Jobs {
-			for _, t := range j.Tasks {
-				var c []int
-				seen := map[int]bool{}
-				for _, n := range t.Nodes {
-					if seen[n] {
-						continue
-					}
-					seen[n] = true
-					c = append(c, execsByNode[n]...)
+	if total == 0 {
+		return 1
+	}
+	// Node layout: 0 super source, 1..A app sources, then one node per
+	// task, then one per executor, then the sink.
+	taskBase := 1 + len(net.Apps)
+	execBase := taskBase + net.Tasks()
+	sink := execBase + len(net.Executors)
+	feasible := func(lambda float64) bool {
+		g := maxflow.NewGraph(sink + 1)
+		want := 0.0
+		ti := 0
+		for ai, a := range net.Apps {
+			d := float64(a.Demand) * lambda
+			g.AddEdge(0, 1+ai, d, 0)
+			want += d
+			for ; ti < net.Tasks() && net.TaskOwner[ti] == ai; ti++ {
+				g.AddEdge(1+ai, taskBase+ti, 1, 0)
+				for _, e := range net.taskEdges(ti) {
+					g.AddEdge(taskBase+ti, execBase+e[1], 1, 0)
 				}
-				cands[ai] = append(cands[ai], c)
 			}
 		}
+		for ei, e := range net.Executors {
+			g.AddEdge(execBase+ei, sink, float64(e.slots()), 0)
+		}
+		return g.MaxFlow(0, sink)+1e-7 >= want
 	}
-	li := maxflow.LocalityInstance{Executors: len(idle), Candidates: cands}
-	return li.FractionalUpperBound(tol)
+	if feasible(1) {
+		return 1
+	}
+	lo, hi := 0.0, 1.0
+	for hi-lo > tol {
+		mid := (lo + hi) / 2
+		if feasible(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }

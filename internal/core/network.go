@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -9,7 +10,8 @@ import (
 // LocalityNetwork is the §III-B flow network (Fig. 2): one source per
 // application with demand τ_i, an intermediate node per input task and per
 // executor, unit-capacity edges task→executor wherever the executor's node
-// stores the task's block, and a common virtual sink.
+// stores the task's block, executor→sink edges of capacity Slots, and a
+// common virtual sink.
 type LocalityNetwork struct {
 	Apps      []NetworkApp
 	Executors []ExecInfo
@@ -20,6 +22,10 @@ type LocalityNetwork struct {
 	TaskOwner []int
 	// TaskLabels are human-readable task names for rendering.
 	TaskLabels []string
+
+	// edgeStart[ti] is the offset of task ti's first edge in Edges; the
+	// final entry is len(Edges).
+	edgeStart []int
 }
 
 // NetworkApp is one commodity of the concurrent-flow instance.
@@ -29,8 +35,9 @@ type NetworkApp struct {
 }
 
 // BuildLocalityNetwork constructs the Fig. 2 network from demands and idle
-// executors. It is the exact instance whose fractional relaxation
-// FractionalMaxMin solves, exposed for inspection, testing, and rendering.
+// executors. It is the one place that derives task→executor locality edges:
+// FractionalMaxMin and OptimalIntraObjective solve this instance, and it is
+// exposed for inspection, testing, and rendering.
 func BuildLocalityNetwork(apps []AppDemand, idle []ExecInfo) *LocalityNetwork {
 	net := &LocalityNetwork{Executors: append([]ExecInfo(nil), idle...)}
 	execsByNode := map[int][]int{}
@@ -49,12 +56,11 @@ func BuildLocalityNetwork(apps []AppDemand, idle []ExecInfo) *LocalityNetwork {
 				net.TaskOwner = append(net.TaskOwner, ai)
 				net.TaskLabels = append(net.TaskLabels,
 					fmt.Sprintf("A%d/J%d/T%d", a.App, j.Job, t.Task))
-				seen := map[int]bool{}
-				for _, n := range t.Nodes {
-					if seen[n] {
-						continue
+				net.edgeStart = append(net.edgeStart, len(net.Edges))
+				for k, n := range t.Nodes {
+					if slices.Contains(t.Nodes[:k], n) {
+						continue // duplicate replica entry
 					}
-					seen[n] = true
 					for _, ei := range execsByNode[n] {
 						net.Edges = append(net.Edges, [2]int{ti, ei})
 					}
@@ -62,7 +68,13 @@ func BuildLocalityNetwork(apps []AppDemand, idle []ExecInfo) *LocalityNetwork {
 			}
 		}
 	}
+	net.edgeStart = append(net.edgeStart, len(net.Edges))
 	return net
+}
+
+// taskEdges returns task ti's (task, executor) edges in insertion order.
+func (n *LocalityNetwork) taskEdges(ti int) [][2]int {
+	return n.Edges[n.edgeStart[ti]:n.edgeStart[ti+1]]
 }
 
 // Tasks returns the number of task nodes.

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"testing/quick"
+
+	"repro/internal/hdfs"
+	"repro/internal/xrand"
 )
 
 func fig2Instance() ([]AppDemand, []ExecInfo) {
@@ -97,5 +102,87 @@ func TestNetworkMultiSlotExecutorCapacity(t *testing.T) {
 	dot := BuildLocalityNetwork(apps, idle).DOT()
 	if !strings.Contains(dot, "e0 -> sink [label=\"4\"]") {
 		t.Fatalf("multi-slot capacity missing from DOT:\n%s", dot)
+	}
+}
+
+func TestFractionalMaxMinCountsSlots(t *testing.T) {
+	// One executor with 4 slots on node 0 and 4 tasks whose blocks sit on
+	// node 0: Allocate makes all 4 local, so the bound must be 1, not the
+	// 1/4 a unit executor→sink capacity would give.
+	apps := []AppDemand{{App: 0, Budget: 1, Jobs: []JobDemand{{Job: 1, Tasks: []TaskDemand{
+		task(1, 0, 0), task(2, 1, 0), task(3, 2, 0), task(4, 3, 0),
+	}}}}}
+	idle := []ExecInfo{{ID: 0, Node: 0, Slots: 4}}
+	if got := FractionalMaxMin(apps, idle, 1e-4); got != 1 {
+		t.Fatalf("λ* = %v, want 1", got)
+	}
+	if local := Allocate(apps, idle, Options{}).LocalCount(); local != 4 {
+		t.Fatalf("Allocate made %d tasks local, want 4", local)
+	}
+}
+
+func TestFractionalMaxMinPerfect(t *testing.T) {
+	// The Fig. 1 example: two apps with two tasks each on four executors,
+	// disjoint replicas — every task can be local (λ* = 1).
+	apps := []AppDemand{
+		{App: 1, Budget: 2, Jobs: []JobDemand{{Job: 1, Tasks: []TaskDemand{task(1, 0, 0), task(2, 1, 1)}}}},
+		{App: 2, Budget: 2, Jobs: []JobDemand{{Job: 2, Tasks: []TaskDemand{task(1, 2, 2), task(2, 3, 3)}}}},
+	}
+	if got := FractionalMaxMin(apps, execs(4), 1e-4); got != 1 {
+		t.Fatalf("λ* = %v, want 1", got)
+	}
+}
+
+func TestFractionalMaxMinContended(t *testing.T) {
+	// Two apps, one task each, both only local to the single executor:
+	// fractionally each gets half (λ* = 1/2).
+	apps := []AppDemand{
+		{App: 1, Budget: 1, Jobs: []JobDemand{{Job: 1, Tasks: []TaskDemand{task(1, 0, 0)}}}},
+		{App: 2, Budget: 1, Jobs: []JobDemand{{Job: 2, Tasks: []TaskDemand{task(1, 1, 0)}}}},
+	}
+	if got := FractionalMaxMin(apps, execs(1), 1e-4); math.Abs(got-0.5) > 1e-3 {
+		t.Fatalf("λ* = %v, want 0.5", got)
+	}
+}
+
+func TestFractionalMaxMinZeroDemand(t *testing.T) {
+	apps := []AppDemand{{App: 1, Budget: 1}, {App: 2, Budget: 1}}
+	if got := FractionalMaxMin(apps, execs(2), 1e-4); got != 1 {
+		t.Fatalf("λ* with no demand = %v, want 1", got)
+	}
+}
+
+// Property: the fractional bound is monotone — widening a task's replica
+// set to every node never lowers it.
+func TestQuickFractionalMaxMinMonotone(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := xrand.New(seed)
+		nodes := rng.IntRange(2, 6)
+		idle := execs(nodes)
+		var apps []AppDemand
+		for a := 0; a < rng.IntRange(1, 3); a++ {
+			jd := JobDemand{Job: a}
+			for k := 0; k < rng.IntRange(1, 4); k++ {
+				jd.Tasks = append(jd.Tasks, TaskDemand{
+					Task: k, Block: hdfs.BlockID(a*10 + k),
+					Nodes: rng.Sample(nodes, rng.IntRange(1, 2)),
+				})
+			}
+			apps = append(apps, AppDemand{App: a, Budget: nodes, Jobs: []JobDemand{jd}})
+		}
+		base := FractionalMaxMin(apps, idle, 1e-3)
+		ai := rng.Intn(len(apps))
+		tasks := append([]TaskDemand(nil), apps[ai].Jobs[0].Tasks...)
+		all := make([]int, nodes)
+		for n := range all {
+			all[n] = n
+		}
+		tasks[rng.Intn(len(tasks))].Nodes = all
+		wider := append([]AppDemand(nil), apps...)
+		wider[ai].Jobs = []JobDemand{{Job: ai, Tasks: tasks}}
+		return FractionalMaxMin(wider, idle, 1e-3)+5e-3 >= base
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }

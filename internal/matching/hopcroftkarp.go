@@ -1,9 +1,8 @@
-// Package matching implements the bipartite-matching algorithms referenced
-// by the paper's intra-application analysis (§IV-B): maximum-cardinality
-// matching (Hopcroft–Karp) for task-level locality bounds, maximum-weight
-// assignment (Hungarian) as the exact comparator for constrained bipartite
-// matching, and the weight-greedy 2-approximation that Custody's job
-// prioritization is derived from.
+// Package matching implements the bipartite-matching algorithms behind the
+// paper's intra-application analysis (§IV-B): maximum-cardinality matching
+// (Hopcroft–Karp), the exact allocator's feasibility check and the
+// locality-matching policy's first pass, and maximum-weight assignment
+// (Hungarian), with which that policy refines its placements.
 package matching
 
 // HopcroftKarp computes a maximum-cardinality matching in a bipartite graph

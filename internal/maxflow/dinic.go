@@ -1,19 +1,21 @@
-// Package maxflow implements the network-flow machinery used by the paper's
-// theoretical analysis (§III): Dinic's maximum-flow algorithm (integer and
-// floating-point capacities), a successive-shortest-path min-cost flow, and
-// the fractional maximum concurrent flow bound obtained by binary search
-// over the common throughput fraction λ.
+// Package maxflow implements the one flow network behind the paper's
+// theoretical analysis (§III) and the Quincy-style comparators (§VII): a
+// Graph with per-edge capacities and costs, solved either by Dinic's
+// maximum-flow algorithm (which ignores costs) or by successive-shortest-path
+// min-cost flow.
 package maxflow
 
 import "math"
 
-// Graph is a flow network under construction. Nodes are dense ints.
+// Graph is a flow network under construction. Nodes are dense ints; every
+// edge carries a capacity and a cost.
 type Graph struct {
 	n     int
 	head  []int
 	next  []int
 	to    []int
 	cap   []float64
+	cost  []float64
 	level []int
 	iter  []int
 }
@@ -27,12 +29,12 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, head: head}
 }
 
-// N returns the number of nodes.
-func (g *Graph) N() int { return g.n }
-
-// AddEdge adds a directed edge u→v with the given capacity and returns its
-// edge index; the reverse edge (capacity 0) is the returned index ^ 1.
-func (g *Graph) AddEdge(u, v int, capacity float64) int {
+// AddEdge adds a directed edge u→v with the given capacity and cost and
+// returns its edge index; the reverse edge (capacity 0, cost −cost) is the
+// returned index ^ 1. MaxFlow ignores costs. Costs may be negative only on
+// edges never part of a residual cycle (the min-cost solver assumes no
+// negative cycles).
+func (g *Graph) AddEdge(u, v int, capacity, cost float64) int {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic("maxflow: edge endpoint out of range")
 	}
@@ -42,11 +44,13 @@ func (g *Graph) AddEdge(u, v int, capacity float64) int {
 	id := len(g.to)
 	g.to = append(g.to, v)
 	g.cap = append(g.cap, capacity)
+	g.cost = append(g.cost, cost)
 	g.next = append(g.next, g.head[u])
 	g.head[u] = id
 
 	g.to = append(g.to, u)
 	g.cap = append(g.cap, 0)
+	g.cost = append(g.cost, -cost)
 	g.next = append(g.next, g.head[v])
 	g.head[v] = id + 1
 	return id
@@ -55,15 +59,13 @@ func (g *Graph) AddEdge(u, v int, capacity float64) int {
 // Flow returns the flow pushed through edge id (the reverse edge's residual).
 func (g *Graph) Flow(id int) float64 { return g.cap[id^1] }
 
-// ResidualCap returns the remaining capacity of edge id.
-func (g *Graph) ResidualCap(id int) float64 { return g.cap[id] }
-
 // eps is the tolerance below which a residual capacity counts as zero for
 // float networks. Integer uses exact comparisons since values stay integral.
 const eps = 1e-9
 
-// MaxFlow computes the maximum s→t flow with Dinic's algorithm. For integral
-// capacities the result is integral (Dinic preserves integrality).
+// MaxFlow computes the maximum s→t flow with Dinic's algorithm, ignoring
+// edge costs. For integral capacities the result is integral (Dinic
+// preserves integrality).
 func (g *Graph) MaxFlow(s, t int) float64 {
 	if s == t {
 		return 0
@@ -127,22 +129,4 @@ func (g *Graph) dfs(u, t int, limit float64) float64 {
 		}
 	}
 	return 0
-}
-
-// Clone returns a deep copy of the graph (useful for re-solving with
-// different parameters, as the concurrent-flow search does).
-func (g *Graph) Clone() *Graph {
-	c := &Graph{n: g.n}
-	c.head = append([]int(nil), g.head...)
-	c.next = append([]int(nil), g.next...)
-	c.to = append([]int(nil), g.to...)
-	c.cap = append([]float64(nil), g.cap...)
-	return c
-}
-
-// SetCap overwrites the capacity of edge id (and zeroes any pushed flow on
-// its reverse edge). Only meaningful before solving.
-func (g *Graph) SetCap(id int, capacity float64) {
-	g.cap[id] = capacity
-	g.cap[id^1] = 0
 }

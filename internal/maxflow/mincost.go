@@ -5,55 +5,6 @@ import (
 	"math"
 )
 
-// MinCostGraph is a flow network with per-edge costs, solved with successive
-// shortest augmenting paths (Dijkstra + Johnson potentials). It backs the
-// Quincy-style scheduler comparator (§VII related work).
-type MinCostGraph struct {
-	n    int
-	head []int
-	next []int
-	to   []int
-	cap  []float64
-	cost []float64
-}
-
-// NewMinCostGraph creates an empty min-cost flow network with n nodes.
-func NewMinCostGraph(n int) *MinCostGraph {
-	head := make([]int, n)
-	for i := range head {
-		head[i] = -1
-	}
-	return &MinCostGraph{n: n, head: head}
-}
-
-// AddEdge adds a directed edge u→v with the given capacity and cost and
-// returns its index. Costs may be negative only on edges never part of a
-// residual cycle (the solver assumes no negative cycles).
-func (g *MinCostGraph) AddEdge(u, v int, capacity, cost float64) int {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		panic("maxflow: mincost edge endpoint out of range")
-	}
-	if capacity < 0 {
-		panic("maxflow: mincost negative capacity")
-	}
-	id := len(g.to)
-	g.to = append(g.to, v)
-	g.cap = append(g.cap, capacity)
-	g.cost = append(g.cost, cost)
-	g.next = append(g.next, g.head[u])
-	g.head[u] = id
-
-	g.to = append(g.to, u)
-	g.cap = append(g.cap, 0)
-	g.cost = append(g.cost, -cost)
-	g.next = append(g.next, g.head[v])
-	g.head[v] = id + 1
-	return id
-}
-
-// Flow returns the flow pushed through edge id.
-func (g *MinCostGraph) Flow(id int) float64 { return g.cap[id^1] }
-
 type pqItem struct {
 	node int
 	dist float64
@@ -67,10 +18,11 @@ func (p pq) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
 func (p *pq) Push(x any)        { *p = append(*p, x.(pqItem)) }
 func (p *pq) Pop() any          { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }
 
-// MinCostFlow pushes up to maxFlow units from s to t minimizing total cost.
+// MinCostFlow pushes up to maxFlow units from s to t minimizing total cost
+// with successive shortest augmenting paths (Dijkstra + Johnson potentials).
 // It returns the flow actually pushed and its cost. Initial negative edge
 // costs are handled with one Bellman–Ford pass to seed the potentials.
-func (g *MinCostGraph) MinCostFlow(s, t int, maxFlow float64) (flow, cost float64) {
+func (g *Graph) MinCostFlow(s, t int, maxFlow float64) (flow, cost float64) {
 	return g.minCostFlow(s, t, maxFlow, false)
 }
 
@@ -80,11 +32,11 @@ func (g *MinCostGraph) MinCostFlow(s, t int, maxFlow float64) (flow, cost float6
 // matching under a cardinality budget (successive shortest paths find flows
 // of value k that are optimal for each k, with monotonically non-decreasing
 // path costs).
-func (g *MinCostGraph) MinCostFlowImproving(s, t int, maxFlow float64) (flow, cost float64) {
+func (g *Graph) MinCostFlowImproving(s, t int, maxFlow float64) (flow, cost float64) {
 	return g.minCostFlow(s, t, maxFlow, true)
 }
 
-func (g *MinCostGraph) minCostFlow(s, t int, maxFlow float64, improvingOnly bool) (flow, cost float64) {
+func (g *Graph) minCostFlow(s, t int, maxFlow float64, improvingOnly bool) (flow, cost float64) {
 	if s == t {
 		return 0, 0
 	}

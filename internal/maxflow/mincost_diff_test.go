@@ -80,8 +80,8 @@ func genDiffInstance(rng *xrand.Rand) (n int, edges []diffEdge) {
 }
 
 // buildGraph loads the instance into a solver graph, returning edge IDs.
-func buildGraph(n int, edges []diffEdge) (*MinCostGraph, []int) {
-	g := NewMinCostGraph(n)
+func buildGraph(n int, edges []diffEdge) (*Graph, []int) {
+	g := NewGraph(n)
 	ids := make([]int, len(edges))
 	for i, e := range edges {
 		ids[i] = g.AddEdge(e.u, e.v, float64(e.cap), e.cost)
@@ -91,7 +91,7 @@ func buildGraph(n int, edges []diffEdge) (*MinCostGraph, []int) {
 
 // checkFeasible verifies the solver's per-edge flows form a feasible flow
 // of the returned value and cost.
-func checkFeasible(t *testing.T, g *MinCostGraph, n int, edges []diffEdge, ids []int, s, tt int, flow, cost float64) {
+func checkFeasible(t *testing.T, g *Graph, n int, edges []diffEdge, ids []int, s, tt int, flow, cost float64) {
 	t.Helper()
 	net := make([]float64, n)
 	sum := 0.0

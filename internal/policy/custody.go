@@ -3,11 +3,10 @@ package policy
 import "repro/internal/core"
 
 // CustodyPolicy is the paper's two-level allocation (Algorithms 1 and 2)
-// exposed behind the Policy interface. It delegates to a warm core.Session,
-// so its plans are byte-identical to the manager's built-in path — the
-// manager in fact short-circuits the "custody" name to its own session and
-// never routes through this type; it exists so the registry is total and the
-// tournament can treat the default like any other contender.
+// exposed behind the Policy interface, and the manager's default policy. It
+// delegates to a warm core.Session, so rounds reuse the previous round's
+// index structures and arenas, and its plans are byte-identical to
+// core.AllocateReference.
 type CustodyPolicy struct {
 	sess *core.Session
 }

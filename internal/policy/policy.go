@@ -26,8 +26,8 @@ import (
 )
 
 // Policy is one allocation strategy behind the manager/core boundary. The
-// manager snapshots demand and idle executors exactly as it does for the
-// default path; the policy decides who gets which executor.
+// manager snapshots demand and idle executors each round; the policy decides
+// who gets which executor.
 type Policy interface {
 	// Name returns the policy's registry name.
 	Name() string
@@ -39,9 +39,9 @@ type Policy interface {
 	Allocate(apps []core.AppDemand, idle []core.ExecInfo, opts core.Options) core.Plan
 }
 
-// Custody is the name of the default policy (Algorithm 1+2). The manager
-// short-circuits it to its warm in-place session rather than going through
-// the registry, so selecting it is byte-identical to not selecting anything.
+// Custody is the name of the default policy (Algorithm 1+2): the manager
+// installs it when no policy is selected, so selecting it is byte-identical
+// to not selecting anything.
 const Custody = "custody"
 
 // Names returns the registered policy names, default first, in the fixed

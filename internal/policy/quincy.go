@@ -41,7 +41,7 @@ func (Quincy) Allocate(apps []core.AppDemand, idle []core.ExecInfo, opts core.Op
 	}
 	nApps, nExecs := len(apps), len(idle)
 	sink := 1 + nApps + nExecs
-	g := maxflow.NewMinCostGraph(sink + 1)
+	g := maxflow.NewGraph(sink + 1)
 	edgeOf := make([][]int, nApps) // app × exec → edge ID, -1 when absent
 	for ai := range apps {
 		edgeOf[ai] = make([]int, nExecs)

@@ -96,7 +96,7 @@ func (q *Quincy) replan() {
 	nT := len(q.queue)
 	execBase := 1 + nT
 	sink := execBase + len(execs)
-	g := maxflow.NewMinCostGraph(sink + 1)
+	g := maxflow.NewGraph(sink + 1)
 	type edgeRef struct {
 		id   int
 		task *app.Task
