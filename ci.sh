@@ -83,6 +83,7 @@ go test -run='^$' -fuzz='^FuzzAllocateEquivalence$' -fuzztime=20s ./internal/cor
 go test -run='^$' -fuzz='^FuzzAllocate$' -fuzztime=20s ./internal/core
 go test -run='^$' -fuzz='^FuzzMinCostFlow$' -fuzztime=10s ./internal/maxflow
 go test -run='^$' -fuzz='^FuzzMaxWeightAssignment$' -fuzztime=10s ./internal/matching
+go test -run='^$' -fuzz='^FuzzFabricEquivalence$' -fuzztime=10s ./internal/netsim
 
 echo "== modelcheck mutation smoke"
 # Compile the seeded allocator bug (inverted fairness comparison, build tag

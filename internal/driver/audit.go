@@ -17,7 +17,9 @@ import (
 //   - replica bounds: every block keeps at least one registered replica,
 //     registered replicas never exceed the initial placement plus committed
 //     re-replications, and pending re-replication targets are not dead;
-//   - the fabric carries no flow whose endpoint is a failed node.
+//   - the fabric's rates pass the max-min certificate
+//     (netsim.Fabric.CheckMaxMin) and it carries no flow whose endpoint
+//     is a failed node.
 //
 // Chaos tests run Audit after every fault application and reversal. It
 // returns nil when all invariants hold, else an error listing every
@@ -106,7 +108,10 @@ func (d *Driver) Audit() error {
 		}
 	}
 
-	// No flow touches a failed node.
+	// The fabric's rates are max-min fair, and no flow touches a failed node.
+	if err := d.fabric.CheckMaxMin(); err != nil {
+		fail("fabric: %v", err)
+	}
 	for _, f := range d.fabric.Flows() {
 		if f.Done() {
 			continue

@@ -10,6 +10,11 @@
 // flows crossing it at the fair share, and continue with the residual
 // capacities. The result is the classic max-min fair allocation.
 //
+// The fabric and every resource keep their active flows in ID-ordered
+// slices, and the filling state lives on the resources themselves, so a
+// refill allocates nothing and each freeze visits only the bottleneck's own
+// flows.
+//
 // Flow completions are event-driven: after every rate change the fabric
 // advances each flow's remaining bytes and reschedules a single timer for the
 // earliest completion.
@@ -18,7 +23,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/event"
 )
@@ -56,13 +60,21 @@ func (k ResourceKind) String() string {
 	return "unknown"
 }
 
-// Resource is a capacitated link or device shared by flows.
+// Resource is a capacitated link or device shared by flows. A resource
+// belongs to one fabric.
 type Resource struct {
 	Kind     ResourceKind
 	Node     int
 	Capacity float64 // bytes per second
 
-	flows map[*Flow]struct{}
+	flows []*Flow // active flows crossing the resource, ordered by ID
+
+	// Progressive-filling state, valid while epoch equals the owning
+	// fabric's refill epoch: unallocated capacity and the number of
+	// still-unfrozen flows.
+	epoch    uint64
+	residual float64
+	unfrozen int
 }
 
 // Flow is an in-progress transfer across a set of resources.
@@ -104,9 +116,14 @@ type Fabric struct {
 	down    []*Resource
 	disk    []*Resource
 	mem     []*Resource
-	flows   map[*Flow]struct{}
+	flows   []*Flow // active flows, ordered by ID
 	nextID  int64
 	latency float64
+
+	// epoch stamps the resources a refill has initialised; touched lists
+	// them in first-touch order (reused across refills).
+	epoch   uint64
+	touched []*Resource
 
 	lastUpdate float64
 	timer      *event.Timer
@@ -168,7 +185,6 @@ func NewFabric(eng *event.Engine, n int, cfg Config) *Fabric {
 	}
 	f := &Fabric{
 		eng:     eng,
-		flows:   make(map[*Flow]struct{}),
 		latency: cfg.LatencySec,
 		baseCap: make(map[*Resource]float64),
 	}
@@ -177,10 +193,10 @@ func NewFabric(eng *event.Engine, n int, cfg Config) *Fabric {
 		memBps = DefaultMemoryBps
 	}
 	for i := 0; i < n; i++ {
-		f.up = append(f.up, &Resource{Kind: Uplink, Node: i, Capacity: cfg.UplinkBps, flows: map[*Flow]struct{}{}})
-		f.down = append(f.down, &Resource{Kind: Downlink, Node: i, Capacity: cfg.DownlinkBps, flows: map[*Flow]struct{}{}})
-		f.disk = append(f.disk, &Resource{Kind: Disk, Node: i, Capacity: cfg.DiskBps, flows: map[*Flow]struct{}{}})
-		f.mem = append(f.mem, &Resource{Kind: Memory, Node: i, Capacity: memBps, flows: map[*Flow]struct{}{}})
+		f.up = append(f.up, &Resource{Kind: Uplink, Node: i, Capacity: cfg.UplinkBps})
+		f.down = append(f.down, &Resource{Kind: Downlink, Node: i, Capacity: cfg.DownlinkBps})
+		f.disk = append(f.disk, &Resource{Kind: Disk, Node: i, Capacity: cfg.DiskBps})
+		f.mem = append(f.mem, &Resource{Kind: Memory, Node: i, Capacity: memBps})
 	}
 	return f
 }
@@ -249,7 +265,7 @@ func (fb *Fabric) RemoteReadCapTier(src, dst int, bytes, capBps float64, tier Ti
 	}
 	res := []*Resource{fb.serving(src, tier), fb.up[src], fb.down[dst]}
 	if capBps > 0 {
-		res = append(res, &Resource{Kind: FlowCap, Node: dst, Capacity: capBps, flows: map[*Flow]struct{}{}})
+		res = append(res, &Resource{Kind: FlowCap, Node: dst, Capacity: capBps})
 	}
 	return fb.start(src, dst, bytes, done, res...)
 }
@@ -291,9 +307,6 @@ func (fb *Fabric) start(src, dst int, bytes float64, done func(), resources ...*
 	if len(resources) == 0 {
 		panic("netsim: flow with no resources")
 	}
-	if fb.crossesPartition(src, dst) {
-		resources = append(resources, fb.choke)
-	}
 	fb.nextID++
 	fl := &Flow{
 		ID:        fb.nextID,
@@ -334,12 +347,17 @@ func (fb *Fabric) start(src, dst int, bytes float64, done func(), resources ...*
 	return fl
 }
 
-// activate admits a flow into the fluid rate allocation.
+// activate admits a flow into the fluid rate allocation. Partition
+// membership is decided here, when the flow starts moving bytes, not when
+// it was requested: a flow still in setup latency crosses no boundary.
 func (fb *Fabric) activate(fl *Flow) {
 	fb.advance()
-	fb.flows[fl] = struct{}{}
+	if fb.crossesPartition(fl.src, fl.dst) {
+		fl.resources = append(fl.resources, fb.choke)
+	}
+	fb.flows = insertFlow(fb.flows, fl)
 	for _, r := range fl.resources {
-		r.flows[fl] = struct{}{}
+		r.flows = insertFlow(r.flows, fl)
 	}
 	fb.reallocate()
 }
@@ -356,11 +374,47 @@ func (fb *Fabric) Cancel(fl *Flow) {
 	fb.reallocate()
 }
 
+// detach removes a flow from the fabric's and its resources' lists; a flow
+// that never activated is on none of them.
 func (fb *Fabric) detach(fl *Flow) {
-	delete(fb.flows, fl)
+	fb.flows = removeFlow(fb.flows, fl)
 	for _, r := range fl.resources {
-		delete(r.flows, fl)
+		r.flows = removeFlow(r.flows, fl)
 	}
+}
+
+// insertFlow adds fl to an ID-ordered list. Flows activate in ID order (one
+// setup latency for all, FIFO timers), so the backward scan stops at once;
+// it keeps the list ordered should that ever change.
+func insertFlow(list []*Flow, fl *Flow) []*Flow {
+	i := len(list)
+	for i > 0 && list[i-1].ID > fl.ID {
+		i--
+	}
+	list = append(list, nil)
+	copy(list[i+1:], list[i:])
+	list[i] = fl
+	return list
+}
+
+// removeFlow deletes one occurrence of fl from an ID-ordered list, if
+// present.
+func removeFlow(list []*Flow, fl *Flow) []*Flow {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if list[mid].ID < fl.ID {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(list) || list[lo] != fl {
+		return list
+	}
+	copy(list[lo:], list[lo+1:])
+	list[len(list)-1] = nil
+	return list[:len(list)-1]
 }
 
 // advance applies elapsed progress to every active flow at the current rates.
@@ -371,7 +425,7 @@ func (fb *Fabric) advance() {
 	if dt <= 0 {
 		return
 	}
-	for fl := range fb.flows {
+	for _, fl := range fb.flows {
 		fl.remaining -= fl.rate * dt
 		if fl.remaining < 0 {
 			fl.remaining = 0
@@ -381,6 +435,11 @@ func (fb *Fabric) advance() {
 
 // reallocate recomputes max-min fair rates via progressive filling and
 // reschedules the completion timer.
+//
+// Every iteration runs over ID-ordered lists, and the bottleneck is the
+// first-touched resource with the smallest share, so tie-breaking and the
+// order of each resource's residual subtractions (hence every rate, bit for
+// bit) are reproducible run to run.
 func (fb *Fabric) reallocate() {
 	if fb.timer != nil {
 		fb.eng.Cancel(fb.timer)
@@ -390,41 +449,31 @@ func (fb *Fabric) reallocate() {
 		return
 	}
 
-	// Progressive filling. residual[r] tracks unallocated capacity;
-	// unfrozen[r] the number of still-unfrozen flows on r. All iteration
-	// happens over deterministically ordered slices so tie-breaking (and
-	// floating-point accumulation order) is reproducible run to run.
-	type rstate struct {
-		residual float64
-		unfrozen int
-	}
-	states := make(map[*Resource]*rstate)
-	var active []*Resource // deterministic order of first touch
-	flows := fb.sortedFlows()
-	for _, fl := range flows {
+	fb.epoch++
+	touched := fb.touched[:0]
+	for _, fl := range fb.flows {
 		fl.rate = -1 // unfrozen marker
 		for _, r := range fl.resources {
-			st, ok := states[r]
-			if !ok {
-				st = &rstate{residual: r.Capacity}
-				states[r] = st
-				active = append(active, r)
+			if r.epoch != fb.epoch {
+				r.epoch = fb.epoch
+				r.residual = r.Capacity
+				r.unfrozen = 0
+				touched = append(touched, r)
 			}
-			st.unfrozen++
+			r.unfrozen++
 		}
 	}
-	remaining := len(flows)
+	remaining := len(fb.flows)
 	for remaining > 0 {
 		// Find the bottleneck: the resource with the smallest fair share
 		// (first touched wins ties).
 		var bottleneck *Resource
 		best := math.Inf(1)
-		for _, r := range active {
-			st := states[r]
-			if st.unfrozen == 0 {
+		for _, r := range touched {
+			if r.unfrozen == 0 {
 				continue
 			}
-			share := st.residual / float64(st.unfrozen)
+			share := r.residual / float64(r.unfrozen)
 			if share < best {
 				best = share
 				bottleneck = r
@@ -437,26 +486,27 @@ func (fb *Fabric) reallocate() {
 		}
 		// Freeze every unfrozen flow crossing the bottleneck at the share,
 		// in flow-ID order.
-		for _, fl := range flows {
-			if fl.rate >= 0 || !crosses(fl, bottleneck) {
+		for _, fl := range bottleneck.flows {
+			if fl.rate >= 0 {
 				continue
 			}
 			fl.rate = best
 			remaining--
 			for _, r := range fl.resources {
-				st := states[r]
-				st.residual -= best
-				if st.residual < 0 {
-					st.residual = 0
+				r.residual -= best
+				if r.residual < 0 {
+					r.residual = 0
 				}
-				st.unfrozen--
+				r.unfrozen--
 			}
 		}
 	}
+	clear(touched) // drop references to detached per-flow resources
+	fb.touched = touched[:0]
 
 	// Schedule the earliest completion.
 	soonest := math.Inf(1)
-	for fl := range fb.flows {
+	for _, fl := range fb.flows {
 		if fl.rate <= 0 {
 			continue
 		}
@@ -471,34 +521,18 @@ func (fb *Fabric) reallocate() {
 	fb.timer = fb.eng.Schedule(soonest, fb.onCompletion)
 }
 
-// sortedFlows returns the active flows ordered by ID.
-func (fb *Fabric) sortedFlows() []*Flow {
-	out := make([]*Flow, 0, len(fb.flows))
-	for fl := range fb.flows {
-		out = append(out, fl)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// crosses reports whether fl uses resource r.
-func crosses(fl *Flow, r *Resource) bool {
-	for _, rr := range fl.resources {
-		if rr == r {
-			return true
-		}
-	}
-	return false
-}
-
 // onCompletion fires when at least one flow should have drained.
 func (fb *Fabric) onCompletion() {
 	fb.timer = nil
 	fb.advance()
 	const eps = 1e-9
+	now := fb.eng.Now()
 	var finished []*Flow
-	for _, fl := range fb.sortedFlows() {
-		if fl.remaining <= fl.Bytes*eps+eps {
+	for _, fl := range fb.flows {
+		// A residue whose drain time is below the clock's resolution at
+		// now counts as drained too: its completion could only be
+		// rescheduled at this same instant, forever.
+		if fl.remaining <= fl.Bytes*eps+eps || now+fl.remaining/fl.rate == now {
 			finished = append(finished, fl)
 		}
 	}
@@ -519,8 +553,8 @@ func (fb *Fabric) onCompletion() {
 	}
 }
 
-// Flows returns the active flows ordered by ID (audits and tests).
-func (fb *Fabric) Flows() []*Flow { return fb.sortedFlows() }
+// Flows returns a copy of the active flows ordered by ID (audits and tests).
+func (fb *Fabric) Flows() []*Flow { return append([]*Flow(nil), fb.flows...) }
 
 // Partitioned reports whether a network partition is in effect.
 func (fb *Fabric) Partitioned() bool { return fb.partition != nil }
@@ -548,11 +582,11 @@ func (fb *Fabric) SetPartition(groups []int, chokeBps float64) {
 	}
 	fb.advance()
 	fb.partition = append([]int(nil), groups...)
-	fb.choke = &Resource{Kind: FlowCap, Node: -1, Capacity: chokeBps, flows: map[*Flow]struct{}{}}
-	for _, fl := range fb.sortedFlows() {
+	fb.choke = &Resource{Kind: FlowCap, Node: -1, Capacity: chokeBps}
+	for _, fl := range fb.flows {
 		if fb.crossesPartition(fl.src, fl.dst) {
 			fl.resources = append(fl.resources, fb.choke)
-			fb.choke.flows[fl] = struct{}{}
+			fb.choke.flows = append(fb.choke.flows, fl) // fb.flows is ID-ordered
 		}
 	}
 	fb.reallocate()
@@ -565,10 +599,7 @@ func (fb *Fabric) ClearPartition() {
 		return
 	}
 	fb.advance()
-	for _, fl := range fb.sortedFlows() {
-		if _, ok := fb.choke.flows[fl]; !ok {
-			continue
-		}
+	for _, fl := range fb.choke.flows {
 		for i, r := range fl.resources {
 			if r == fb.choke {
 				fl.resources = append(fl.resources[:i], fl.resources[i+1:]...)
@@ -620,8 +651,50 @@ func (fb *Fabric) ScaleDisk(node int, factor float64) {
 // allocated; useful in tests and metrics.
 func (fb *Fabric) Utilization(r *Resource) float64 {
 	sum := 0.0
-	for fl := range r.flows {
+	for _, fl := range r.flows {
 		sum += fl.rate
 	}
 	return sum / r.Capacity
+}
+
+// CheckMaxMin certifies the current rates as the max-min fair allocation
+// without reference to how they were computed: no resource carries more
+// than its capacity, and every active flow crosses a saturated resource on
+// which no other flow has a higher rate — a bottleneck in the sense of
+// Bertsekas & Gallager, Data Networks §6.5. Comparisons allow a relative
+// error of 1e-9 for the rounding of progressive filling.
+func (fb *Fabric) CheckMaxMin() error {
+	const tol = 1e-9
+	type load struct{ sum, max float64 }
+	loads := make(map[*Resource]load)
+	loadOf := func(r *Resource) load {
+		l, ok := loads[r]
+		if !ok {
+			for _, fl := range r.flows {
+				l.sum += fl.rate
+				l.max = math.Max(l.max, fl.rate)
+			}
+			loads[r] = l
+		}
+		return l
+	}
+	for _, fl := range fb.flows {
+		if !(fl.rate >= 0) || math.IsInf(fl.rate, 0) {
+			return fmt.Errorf("flow %d has rate %v", fl.ID, fl.rate)
+		}
+		bottlenecked := false
+		for _, r := range fl.resources {
+			l := loadOf(r)
+			if l.sum > r.Capacity*(1+tol) {
+				return fmt.Errorf("%v[%d] carries %v over its capacity %v", r.Kind, r.Node, l.sum, r.Capacity)
+			}
+			if l.sum >= r.Capacity*(1-tol) && l.max <= fl.rate*(1+tol) {
+				bottlenecked = true
+			}
+		}
+		if !bottlenecked {
+			return fmt.Errorf("flow %d at rate %v has no bottleneck: every resource it crosses has spare capacity or a faster flow", fl.ID, fl.rate)
+		}
+	}
+	return nil
 }

@@ -194,26 +194,27 @@ func TestQuickCapacityRespected(t *testing.T) {
 			dst := rng.Intn(n)
 			fb.Transfer(src, dst, rng.Range(1, 100), nil)
 		}
-		// Inspect allocation right after setup.
-		for i := 0; i < n; i++ {
-			for _, r := range []*Resource{fb.UplinkResource(i), fb.DownlinkResource(i), fb.DiskResource(i)} {
-				sum := 0.0
-				for fl := range r.flows {
-					if fl.rate < -1e-9 {
-						return false // unfrozen flow escaped
-					}
-					sum += fl.rate
-				}
-				if sum > r.Capacity*(1+1e-9) {
-					return false
-				}
+		// Inspect allocation right after setup: sum each resource's load
+		// from the flows' endpoints (a same-node transfer is a disk read).
+		load := map[*Resource]float64{}
+		for _, fl := range fb.Flows() {
+			if fl.Rate() <= 0 {
+				return false // every flow must have a strictly positive rate
 			}
+			if fl.Src() == fl.Dst() {
+				load[fb.DiskResource(fl.Src())] += fl.Rate()
+				continue
+			}
+			load[fb.UplinkResource(fl.Src())] += fl.Rate()
+			load[fb.DownlinkResource(fl.Dst())] += fl.Rate()
 		}
-		// Every flow must have a strictly positive rate.
-		for fl := range fb.flows {
-			if fl.rate <= 0 {
+		for r, sum := range load {
+			if sum > r.Capacity*(1+1e-9) {
 				return false
 			}
+		}
+		if len(fb.Flows()) != k || fb.CheckMaxMin() != nil {
+			return false
 		}
 		eng.Run()
 		return fb.ActiveFlows() == 0
@@ -304,4 +305,100 @@ func TestLatencySetupDoesNotConsumeBandwidth(t *testing.T) {
 	eng.Run()
 	// Both active from t=10 at 25 B/s → done at t=50.
 	approx(t, tFast, 50, 1e-6, "shared after simultaneous activation")
+}
+
+// A flow still in setup latency when a partition heals must activate
+// without the choke: it crosses no boundary by the time it moves bytes.
+func TestPartitionHealsDuringSetup(t *testing.T) {
+	eng := event.NewEngine()
+	fb := NewFabric(eng, 2, Config{UplinkBps: 100, DownlinkBps: 100, DiskBps: 100, LatencySec: 1})
+	fb.SetPartition([]int{0, 1}, 1)
+	var finish float64 = -1
+	fb.Transfer(0, 1, 100, func() { finish = eng.Now() })
+	eng.Schedule(0.5, fb.ClearPartition)
+	eng.Run()
+	// Activates at t=1 on a healed network: 100B at 100 B/s.
+	approx(t, finish, 2, 1e-6, "flow activated after the heal")
+}
+
+// A flow started before a partition but activated inside it must pass
+// through the choke like any other cross-group flow.
+func TestPartitionBeginsDuringSetup(t *testing.T) {
+	eng := event.NewEngine()
+	fb := NewFabric(eng, 2, Config{UplinkBps: 100, DownlinkBps: 100, DiskBps: 100, LatencySec: 1})
+	var finish float64 = -1
+	fb.Transfer(0, 1, 100, func() { finish = eng.Now() })
+	eng.Schedule(0.5, func() { fb.SetPartition([]int{0, 1}, 1) })
+	eng.Run()
+	// Activates at t=1 behind the 1 B/s choke: 100B takes 100s.
+	approx(t, finish, 101, 1e-6, "flow activated inside the partition")
+}
+
+// Flows hands out a copy: reordering or clobbering it must not disturb the
+// fabric's own ID-ordered list.
+func TestFlowsReturnsCopy(t *testing.T) {
+	eng := event.NewEngine()
+	fb := NewFabric(eng, 3, cfg(100, 100, 40))
+	for i := 0; i < 5; i++ {
+		fb.Transfer(i%3, (i+1)%3, 100, nil)
+	}
+	got := fb.Flows()
+	for i, j := 0, len(got)-1; i < j; i, j = i+1, j-1 {
+		got[i], got[j] = got[j], got[i]
+	}
+	got[0] = nil
+	again := fb.Flows()
+	if len(again) != 5 {
+		t.Fatalf("Flows() has %d flows, want 5", len(again))
+	}
+	for i, fl := range again {
+		if fl == nil || fl.ID != int64(i+1) {
+			t.Fatalf("Flows()[%d] = %v after the caller reordered its copy", i, fl)
+		}
+	}
+	eng.Run()
+	if fb.ActiveFlows() != 0 || fb.CompletedFlows != 5 {
+		t.Fatalf("active=%d completed=%d, want 0 and 5", fb.ActiveFlows(), fb.CompletedFlows)
+	}
+}
+
+// A fast flow can be left with a residue that drains in less time than the
+// clock can represent at now. It must complete instead of rescheduling its
+// completion at the same instant forever.
+func TestCompletionBelowClockResolution(t *testing.T) {
+	eng := event.NewEngine()
+	fb := NewFabric(eng, 2, Config{UplinkBps: 25, DownlinkBps: 40, DiskBps: 100, LatencySec: 1})
+	var tSlow, tFast float64 = -1, -1
+	fb.RemoteReadCapTier(0, 1, 100, 0, TierMemory, func() { tSlow = eng.Now() })
+	fb.LocalReadTier(0, 50, TierMemory, func() { tFast = eng.Now() })
+	eng.Run()
+	// The memory read runs at ~10 GB/s from t=1 and finishes within 1ns;
+	// the remote read is held to the 25 B/s uplink.
+	approx(t, tFast, 1, 1e-8, "memory-tier read")
+	approx(t, tSlow, 5, 1e-6, "uplink-bound remote read")
+}
+
+// The certificate is not vacuous: it rejects an overloaded resource and a
+// flow held below its fair share.
+func TestCheckMaxMinRejects(t *testing.T) {
+	eng := event.NewEngine()
+	fb := NewFabric(eng, 3, cfg(30, 100, 1000))
+	fb.DownlinkResource(2).Capacity = 12
+	a := fb.Transfer(0, 1, 180, nil)
+	b := fb.Transfer(0, 2, 120, nil)
+	if err := fb.CheckMaxMin(); err != nil {
+		t.Fatalf("max-min allocation rejected: %v", err)
+	}
+	a.rate, b.rate = 19, 12 // up0 carries 31 of 30
+	if err := fb.CheckMaxMin(); err == nil {
+		t.Fatal("overloaded uplink accepted")
+	}
+	a.rate, b.rate = 17, 12 // up0 has 1 B/s spare that a could take
+	if err := fb.CheckMaxMin(); err == nil {
+		t.Fatal("flow below its fair share accepted")
+	}
+	a.rate, b.rate = 20, 10 // b: its only saturated resource carries a faster flow
+	if err := fb.CheckMaxMin(); err == nil {
+		t.Fatal("flow with a faster flow on every saturated resource accepted")
+	}
 }
