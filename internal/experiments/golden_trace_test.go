@@ -19,8 +19,9 @@ import (
 var updateGolden = flag.Bool("update", false, "regenerate the golden trace files under testdata/golden")
 
 // goldenRun replays one canonical shrunken experiment — one seed of the
-// workload kind under the manager — and returns its full timeline.
-func goldenRun(kind workload.Kind, mk ManagerKind) (*trace.Recorder, error) {
+// workload kind under the manager and task scheduler — and returns its full
+// timeline.
+func goldenRun(kind workload.Kind, mk ManagerKind, sk driver.SchedulerKind) (*trace.Recorder, error) {
 	spec := workload.DefaultSpec(kind)
 	spec.Apps = 2
 	spec.JobsPerApp = 3
@@ -30,6 +31,7 @@ func goldenRun(kind workload.Kind, mk ManagerKind) (*trace.Recorder, error) {
 	cfg.Nodes = 16
 	cfg.RackSize = 4
 	cfg.Manager = NewManager(mk, 7)
+	cfg.Scheduler = sk
 	rec := trace.NewRecorder()
 	cfg.Tracer = rec
 	if _, err := driver.RunSchedule(cfg, sched); err != nil {
@@ -51,7 +53,7 @@ func TestGoldenTraces(t *testing.T) {
 			kind, mk := kind, mk
 			name := fmt.Sprintf("%s-%s", strings.ToLower(string(kind)), mk)
 			t.Run(name, func(t *testing.T) {
-				rec, err := goldenRun(kind, mk)
+				rec, err := goldenRun(kind, mk, driver.SchedDelay)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,6 +76,38 @@ func TestGoldenTraces(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGoldenQuincySchedulerTrace pins the Quincy-style task scheduler
+// (min-cost flow per offer, §VII) end to end: WordCount under Custody on
+// goldenRun's 16-node topology, whose 4-node racks make rack costs occur.
+// The *-policy-quincy goldens cover the allocation policy, not this
+// scheduler. Regenerate after an intentional behavior change with:
+//
+//	go test ./internal/experiments -run TestGoldenQuincySchedulerTrace -update
+func TestGoldenQuincySchedulerTrace(t *testing.T) {
+	rec, err := goldenRun(workload.WordCount, Custody, driver.SchedQuincy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "golden", "wordcount-custody-sched-quincy.trace")
+	if *updateGolden {
+		blessGolden(t, path, buf.Bytes())
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden trace: %v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		d := firstDiffLine(buf.Bytes(), want)
+		t.Fatalf("trace diverges from golden %s at line %d:\n got: %s\nwant: %s",
+			path, d, lineAt(buf.Bytes(), d), lineAt(want, d))
 	}
 }
 
