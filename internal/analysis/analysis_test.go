@@ -227,8 +227,9 @@ func TestLockOrderReportCoversCustodyd(t *testing.T) {
 
 // TestNoAllocHotPathsAnnotated pins that the static //custody:noalloc
 // contract covers the paths the dynamic allocation gates cover: the flight
-// recorder's record path (TestRecordingDoesNotAllocate) and the allocator's
-// pick/update chain (the benchreg allocs/op gate).
+// recorder's record path (TestRecordingDoesNotAllocate), the allocator's
+// pick/update chain (the benchreg allocs/op gate) and the min-cost solver's
+// heap (TestWarmResolveAllocatesNothing).
 func TestNoAllocHotPathsAnnotated(t *testing.T) {
 	root, err := analysis.FindModuleRoot(".")
 	if err != nil {
@@ -261,6 +262,9 @@ func TestNoAllocHotPathsAnnotated(t *testing.T) {
 		"internal/event.Engine.push",
 		"internal/event.Engine.popRoot",
 		"internal/event.Engine.siftDown",
+		// min-cost flow Dijkstra heap.
+		"internal/maxflow.pq.push",
+		"internal/maxflow.pq.pop",
 	} {
 		if !got[want] {
 			t.Errorf("hot-path function %s is not annotated //custody:noalloc (have: %v)", want, m.NoAllocFuncs())

@@ -46,8 +46,9 @@ type Service struct {
 	faultsReverted int
 	revocations    int
 
-	// broken is set when an op panicked mid-apply, leaving the stack in an
-	// unknown state; every subsequent commit refuses with it.
+	// broken is set when a journal append failed, or an op panicked
+	// mid-apply and left the stack in an unknown state; every subsequent
+	// commit refuses with it.
 	broken error
 }
 
@@ -198,7 +199,10 @@ func (s *Service) commit(op Op) error {
 		return err
 	}
 	if err := s.jnl.Append(op); err != nil {
-		return fmt.Errorf("custodyd: journal append: %w", err)
+		// The log may now end in a partial record, or hold an op that is
+		// never applied; appending after it would corrupt recovery.
+		s.broken = fmt.Errorf("custodyd: journal append of op %d: %w", op.Seq, err)
+		return s.broken
 	}
 	return s.apply(op)
 }
@@ -355,7 +359,8 @@ func (s *Service) JobsFinished() int {
 // Idle reports whether every accepted job has finished.
 func (s *Service) Idle() bool { return s.JobsFinished() == s.submitted }
 
-// Broken returns the permanent failure set by a panicking op, if any.
+// Broken returns the permanent failure set by a failed journal append or a
+// panicking op, if any.
 func (s *Service) Broken() error { return s.broken }
 
 // Driver exposes the underlying driver.

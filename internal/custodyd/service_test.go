@@ -165,3 +165,51 @@ func TestJournalGapRejected(t *testing.T) {
 		t.Fatal("replay of a gapped journal succeeded")
 	}
 }
+
+// failingJournal is a MemJournal whose failAt-th Append fails, the way a
+// WAL write or fsync fails on a full or dying disk.
+type failingJournal struct {
+	MemJournal
+	failAt  int
+	appends int
+}
+
+func (j *failingJournal) Append(op Op) error {
+	j.appends++
+	if j.appends == j.failAt {
+		return errors.New("injected append failure")
+	}
+	return j.MemJournal.Append(op)
+}
+
+// TestJournalAppendFailureIsFailStop: once an append fails the log may end
+// in a partial record, or hold an op the live state never applied, so the
+// service must refuse every later commit instead of appending after it.
+func TestJournalAppendFailureIsFailStop(t *testing.T) {
+	jnl := &failingJournal{failAt: 2}
+	svc, err := NewService(testConfig(), jnl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Register("etl"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Register("ml"); err == nil {
+		t.Fatal("failed append was reported as a commit")
+	}
+	if svc.Broken() == nil {
+		t.Fatal("failed append did not break the service")
+	}
+	if _, err := svc.Submit(0, "Sort", 0); err == nil {
+		t.Fatal("commit after a failed append succeeded")
+	}
+	if err := svc.Round(0, false); err == nil {
+		t.Fatal("round after a failed append succeeded")
+	}
+	if jnl.appends != 2 {
+		t.Fatalf("journal saw %d appends, want none after the failed second", jnl.appends)
+	}
+	if got := len(jnl.Ops()); got != 1 {
+		t.Fatalf("journal holds %d ops, want the one before the failure", got)
+	}
+}

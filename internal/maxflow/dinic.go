@@ -18,15 +18,44 @@ type Graph struct {
 	cost  []float64
 	level []int
 	iter  []int
+
+	// Min-cost solver state, kept across calls so a warm solve allocates
+	// nothing: node potentials, Dijkstra distances and path edges, and the
+	// Dijkstra heap.
+	h        []float64
+	dist     []float64
+	prevEdge []int
+	pq       pq
 }
 
 // NewGraph creates a flow network with n nodes and no edges.
 func NewGraph(n int) *Graph {
-	head := make([]int, n)
-	for i := range head {
-		head[i] = -1
+	g := &Graph{}
+	g.Reset(n)
+	return g
+}
+
+// Reset empties the network to n nodes and no edges, keeping its storage
+// for the next build.
+func (g *Graph) Reset(n int) {
+	g.n = n
+	g.head = resize(g.head, n)
+	for i := range g.head {
+		g.head[i] = -1
 	}
-	return &Graph{n: n, head: head}
+	g.next = g.next[:0]
+	g.to = g.to[:0]
+	g.cap = g.cap[:0]
+	g.cost = g.cost[:0]
+}
+
+// resize returns b with length n, reusing its storage when large enough.
+// The contents are unspecified.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 // AddEdge adds a directed edge u→v with the given capacity and cost and
@@ -87,9 +116,9 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 }
 
 func (g *Graph) bfs(s, t int) bool {
-	if g.level == nil {
-		g.level = make([]int, g.n)
-		g.iter = make([]int, g.n)
+	if len(g.level) != g.n {
+		g.level = resize(g.level, g.n)
+		g.iter = resize(g.iter, g.n)
 	}
 	for i := range g.level {
 		g.level[i] = -1

@@ -42,6 +42,25 @@ func TestMaxFlowClassic(t *testing.T) {
 	}
 }
 
+// TestMaxFlowAfterReset: a graph reused through Reset, growing and
+// shrinking, forgets its old edges and flows.
+func TestMaxFlowAfterReset(t *testing.T) {
+	g := NewGraph(2)
+	g.AddEdge(0, 1, 5, 0)
+	g.MaxFlow(0, 1)
+	g.Reset(4)
+	g.AddEdge(0, 1, 3, 0)
+	g.AddEdge(1, 3, 2, 0)
+	if f := g.MaxFlow(0, 3); f != 2 {
+		t.Fatalf("MaxFlow on the grown graph = %v, want 2", f)
+	}
+	g.Reset(2)
+	id := g.AddEdge(0, 1, 1, 0)
+	if f := g.MaxFlow(0, 1); f != 1 || g.Flow(id) != 1 {
+		t.Fatalf("MaxFlow on the shrunk graph = %v (edge %v), want 1", f, g.Flow(id))
+	}
+}
+
 func TestMaxFlowDisconnected(t *testing.T) {
 	g := NewGraph(4)
 	g.AddEdge(0, 1, 10, 0)

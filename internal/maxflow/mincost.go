@@ -1,22 +1,56 @@
 package maxflow
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 type pqItem struct {
 	node int
 	dist float64
 }
 
+// pq is Dijkstra's binary min-heap on dist. push and pop repeat
+// container/heap's sift steps exactly: equal keys must pop in
+// container/heap's order, or min-cost tie-breaks, and with them Quincy
+// plans, change.
 type pq []pqItem
 
-func (p pq) Len() int           { return len(p) }
-func (p pq) Less(i, j int) bool { return p[i].dist < p[j].dist }
-func (p pq) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x any)        { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() any          { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }
+//custody:noalloc
+func (p *pq) push(it pqItem) {
+	*p = append(*p, it) //custody:ignore noalloc the heap lives on the Graph and reuses the capacity of earlier solves; growth stops once it has held the largest frontier
+	h := *p
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+//custody:noalloc
+func (p *pq) pop() pqItem {
+	h := *p
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].dist < h[j].dist {
+			j = r
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*p = h[:n]
+	return h[n]
+}
 
 // MinCostFlow pushes up to maxFlow units from s to t minimizing total cost
 // with successive shortest augmenting paths (Dijkstra + Johnson potentials).
@@ -40,7 +74,9 @@ func (g *Graph) minCostFlow(s, t int, maxFlow float64, improvingOnly bool) (flow
 	if s == t {
 		return 0, 0
 	}
-	h := make([]float64, g.n) // potentials
+	g.h = resize(g.h, g.n)
+	h := g.h // potentials
+	clear(h)
 	// Bellman–Ford to initialize potentials when negative costs exist.
 	hasNeg := false
 	for _, c := range g.cost {
@@ -78,8 +114,9 @@ func (g *Graph) minCostFlow(s, t int, maxFlow float64, improvingOnly bool) (flow
 		}
 	}
 
-	dist := make([]float64, g.n)
-	prevEdge := make([]int, g.n)
+	g.dist = resize(g.dist, g.n)
+	g.prevEdge = resize(g.prevEdge, g.n)
+	dist, prevEdge := g.dist, g.prevEdge
 	for flow < maxFlow {
 		// Dijkstra on reduced costs.
 		for i := range dist {
@@ -87,9 +124,10 @@ func (g *Graph) minCostFlow(s, t int, maxFlow float64, improvingOnly bool) (flow
 			prevEdge[i] = -1
 		}
 		dist[s] = 0
-		q := pq{{s, 0}}
-		for len(q) > 0 {
-			it := heap.Pop(&q).(pqItem)
+		q := &g.pq // empty: every Dijkstra pass drains it
+		q.push(pqItem{s, 0})
+		for len(*q) > 0 {
+			it := q.pop()
 			if it.dist > dist[it.node]+1e-12 {
 				continue
 			}
@@ -103,7 +141,7 @@ func (g *Graph) minCostFlow(s, t int, maxFlow float64, improvingOnly bool) (flow
 				if nd < dist[v]-1e-12 {
 					dist[v] = nd
 					prevEdge[v] = id
-					heap.Push(&q, pqItem{v, nd})
+					q.push(pqItem{v, nd})
 				}
 			}
 		}

@@ -79,14 +79,21 @@ func genDiffInstance(rng *xrand.Rand) (n int, edges []diffEdge) {
 	return n, edges
 }
 
-// buildGraph loads the instance into a solver graph, returning edge IDs.
+// buildGraph loads the instance into a fresh solver graph, returning edge
+// IDs.
 func buildGraph(n int, edges []diffEdge) (*Graph, []int) {
-	g := NewGraph(n)
+	g := new(Graph)
+	return g, loadGraph(g, n, edges)
+}
+
+// loadGraph resets g and loads the instance into it, returning edge IDs.
+func loadGraph(g *Graph, n int, edges []diffEdge) []int {
+	g.Reset(n)
 	ids := make([]int, len(edges))
 	for i, e := range edges {
 		ids[i] = g.AddEdge(e.u, e.v, float64(e.cap), e.cost)
 	}
-	return g, ids
+	return ids
 }
 
 // checkFeasible verifies the solver's per-edge flows form a feasible flow
@@ -117,9 +124,23 @@ func checkFeasible(t *testing.T, g *Graph, n int, edges []diffEdge, ids []int, s
 	}
 }
 
+// sameFlows fails unless the reused graph routed exactly the flow a fresh
+// graph routes on the same instance: state left over from earlier solves
+// must not change a tie-break.
+func sameFlows(t *testing.T, seed uint64, reused *Graph, ids []int, fresh *Graph, freshIDs []int) {
+	t.Helper()
+	for i := range ids {
+		if r, f := reused.Flow(ids[i]), fresh.Flow(freshIDs[i]); r != f {
+			t.Fatalf("seed %d: edge %d carries %v on the reused graph, %v on a fresh one", seed, i, r, f)
+		}
+	}
+}
+
 // TestMinCostFlowDifferential: MinCostFlow must push min(fmax, maxFlow)
-// units at exactly the oracle's minimal cost for that value.
+// units at exactly the oracle's minimal cost for that value, both on a
+// fresh graph and on one graph reused through Reset across all seeds.
 func TestMinCostFlowDifferential(t *testing.T) {
+	reused := new(Graph)
 	for seed := uint64(1); seed <= 400; seed++ {
 		rng := xrand.New(seed).Fork("mincost-diff")
 		n, edges := genDiffInstance(rng)
@@ -127,37 +148,42 @@ func TestMinCostFlowDifferential(t *testing.T) {
 		maxFlow := rng.Intn(5)
 		costAt := oracleFlows(n, edges, s, tt)
 
-		g, ids := buildGraph(n, edges)
-		flow, cost := g.MinCostFlow(s, tt, float64(maxFlow))
-
 		wantFlow := len(costAt) - 1
 		if maxFlow < wantFlow {
 			wantFlow = maxFlow
 		}
-		if math.Abs(flow-float64(wantFlow)) > 1e-9 {
-			t.Fatalf("seed %d: flow = %v, oracle says %d (n=%d edges=%+v maxFlow=%d)",
-				seed, flow, wantFlow, n, edges, maxFlow)
+		for _, g := range []*Graph{new(Graph), reused} {
+			ids := loadGraph(g, n, edges)
+			flow, cost := g.MinCostFlow(s, tt, float64(maxFlow))
+			if g == reused {
+				fresh, freshIDs := buildGraph(n, edges)
+				fresh.MinCostFlow(s, tt, float64(maxFlow))
+				sameFlows(t, seed, g, ids, fresh, freshIDs)
+			}
+			if math.Abs(flow-float64(wantFlow)) > 1e-9 {
+				t.Fatalf("seed %d: flow = %v, oracle says %d (n=%d edges=%+v maxFlow=%d)",
+					seed, flow, wantFlow, n, edges, maxFlow)
+			}
+			if math.Abs(cost-costAt[wantFlow]) > 1e-9 {
+				t.Fatalf("seed %d: cost = %v, oracle says %v (n=%d edges=%+v maxFlow=%d)",
+					seed, cost, costAt[wantFlow], n, edges, maxFlow)
+			}
+			checkFeasible(t, g, n, edges, ids, s, tt, flow, cost)
 		}
-		if math.Abs(cost-costAt[wantFlow]) > 1e-9 {
-			t.Fatalf("seed %d: cost = %v, oracle says %v (n=%d edges=%+v maxFlow=%d)",
-				seed, cost, costAt[wantFlow], n, edges, maxFlow)
-		}
-		checkFeasible(t, g, n, edges, ids, s, tt, flow, cost)
 	}
 }
 
 // TestMinCostFlowImprovingDifferential: MinCostFlowImproving must return
 // the cheapest flow of any value ≤ maxFlow — the quantity the Quincy
-// policy's negated-benefit network relies on.
+// policy's negated-benefit network relies on — on a fresh graph and on
+// one graph reused through Reset.
 func TestMinCostFlowImprovingDifferential(t *testing.T) {
+	reused := new(Graph)
 	for seed := uint64(1); seed <= 400; seed++ {
 		rng := xrand.New(seed).Fork("mincost-diff-improving")
 		n, edges := genDiffInstance(rng)
 		s, tt := 0, n-1
 		costAt := oracleFlows(n, edges, s, tt)
-
-		g, ids := buildGraph(n, edges)
-		flow, cost := g.MinCostFlowImproving(s, tt, math.Inf(1))
 
 		want := 0.0
 		for _, c := range costAt {
@@ -165,11 +191,20 @@ func TestMinCostFlowImprovingDifferential(t *testing.T) {
 				want = c
 			}
 		}
-		if math.Abs(cost-want) > 1e-9 {
-			t.Fatalf("seed %d: improving cost = %v, oracle says %v (n=%d edges=%+v)",
-				seed, cost, want, n, edges)
+		for _, g := range []*Graph{new(Graph), reused} {
+			ids := loadGraph(g, n, edges)
+			flow, cost := g.MinCostFlowImproving(s, tt, math.Inf(1))
+			if g == reused {
+				fresh, freshIDs := buildGraph(n, edges)
+				fresh.MinCostFlowImproving(s, tt, math.Inf(1))
+				sameFlows(t, seed, g, ids, fresh, freshIDs)
+			}
+			if math.Abs(cost-want) > 1e-9 {
+				t.Fatalf("seed %d: improving cost = %v, oracle says %v (n=%d edges=%+v)",
+					seed, cost, want, n, edges)
+			}
+			checkFeasible(t, g, n, edges, ids, s, tt, flow, cost)
 		}
-		checkFeasible(t, g, n, edges, ids, s, tt, flow, cost)
 	}
 }
 
@@ -225,4 +260,33 @@ func FuzzMinCostFlow(f *testing.F) {
 		}
 		checkFeasible(t, g2, n, edges, ids2, s, tt, flow2, cost2)
 	})
+}
+
+// TestReusedGraphMatchesFresh: on Quincy-shaped networks (source → tasks →
+// executors → sink, costs drawn from three levels so ties abound) a graph
+// reused through Reset across instances of varying size routes exactly the
+// flow of a fresh graph.
+func TestReusedGraphMatchesFresh(t *testing.T) {
+	reused := new(Graph)
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := xrand.New(seed).Fork("reused-quincy")
+		tasks, execs := rng.IntRange(1, 12), rng.IntRange(1, 6)
+		sink := 1 + tasks + execs
+		var edges []diffEdge
+		for e := 0; e < execs; e++ {
+			edges = append(edges, diffEdge{u: 1 + tasks + e, v: sink, cap: rng.IntRange(1, 2)})
+		}
+		for ti := 0; ti < tasks; ti++ {
+			edges = append(edges, diffEdge{u: 0, v: 1 + ti, cap: 1})
+			for e := 0; e < execs; e++ {
+				cost := []float64{0, 2, 10}[rng.Intn(3)]
+				edges = append(edges, diffEdge{u: 1 + ti, v: 1 + tasks + e, cap: 1, cost: cost})
+			}
+		}
+		ids := loadGraph(reused, sink+1, edges)
+		reused.MinCostFlow(0, sink, float64(tasks))
+		fresh, freshIDs := buildGraph(sink+1, edges)
+		fresh.MinCostFlow(0, sink, float64(tasks))
+		sameFlows(t, seed, reused, ids, fresh, freshIDs)
+	}
 }

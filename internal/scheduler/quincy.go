@@ -1,6 +1,8 @@
 package scheduler
 
 import (
+	"slices"
+
 	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/maxflow"
@@ -12,6 +14,12 @@ import (
 // edge costs encoding data-placement preference, and launches tasks
 // according to the resulting plan. Unlike real Quincy it does not preempt
 // running tasks; the plan covers pending tasks and free capacity only.
+//
+// A replan solves only when the network differs from the last solve's: the
+// queue (tracked by gen), the executor view (IDs and slots, in order) or
+// the cost matrix. The solver is deterministic, and the held plan loses an
+// entry only when gen moves, so keeping it is exactly what a re-solve would
+// produce (DESIGN.md §10, "Quincy replan").
 type Quincy struct {
 	Loc Locator
 	// View returns the executors currently allocated to the application;
@@ -21,8 +29,36 @@ type Quincy struct {
 	LocalCost, RackCost, AnyCost float64
 
 	queue []*app.Task
-	plan  map[int][]*app.Task // executor ID → tasks planned onto it
 	dirty bool
+	// gen counts changes to the queue and to the held plan.
+	gen uint64
+	// held is everything a replan keeps; it is dropped when the queue
+	// drains, so an idle application holds no network.
+	held replanState
+
+	solves int // solves run, for tests
+}
+
+// replanState is the last solve's inputs and plan, and the buffers a
+// replan reuses.
+type replanState struct {
+	// The last solve's inputs: the queue generation, the executor view as
+	// (ID, slots) pairs and the task-major cost matrix. plan[i] lists, in
+	// queue order, the tasks planned onto the executor with ID view[2i].
+	solved    bool
+	solvedGen uint64
+	view      []int
+	costs     []float64
+	plan      [][]*app.Task
+
+	// The next replan's inputs, the executors' racks, one task's replica
+	// racks, the network and its task→executor edges.
+	nextView  []int
+	nextCosts []float64
+	execRack  []int
+	replRack  []int
+	g         *maxflow.Graph
+	edges     []int
 }
 
 // NewQuincy builds the flow-based scheduler.
@@ -30,7 +66,6 @@ func NewQuincy(loc Locator, view func() []*cluster.Executor) *Quincy {
 	return &Quincy{
 		Loc: loc, View: view,
 		LocalCost: 0, RackCost: 2, AnyCost: 10,
-		plan: map[int][]*app.Task{},
 	}
 }
 
@@ -40,6 +75,7 @@ func (q *Quincy) Name() string { return "quincy" }
 // Submit implements Scheduler.
 func (q *Quincy) Submit(tasks []*app.Task, now float64) {
 	q.queue = append(q.queue, tasks...)
+	q.gen++
 	q.dirty = true
 }
 
@@ -52,24 +88,37 @@ func (q *Quincy) Offer(e *cluster.Executor, now float64) *app.Task {
 	if q.dirty {
 		q.replan()
 	}
-	planned := q.plan[e.ID]
-	for len(planned) > 0 {
-		t := planned[0]
-		planned = planned[1:]
-		q.plan[e.ID] = planned
+	for {
+		t := q.popPlanned(e.ID)
+		if t == nil {
+			break
+		}
 		if q.takeFromQueue(t) {
 			return t
 		}
 	}
 	// Nothing planned here: replan once in case the world moved on.
 	q.replan()
-	planned = q.plan[e.ID]
-	if len(planned) > 0 {
-		t := planned[0]
-		q.plan[e.ID] = planned[1:]
-		if q.takeFromQueue(t) {
-			return t
+	if t := q.popPlanned(e.ID); t != nil && q.takeFromQueue(t) {
+		return t
+	}
+	return nil
+}
+
+// popPlanned removes and returns the first task planned onto the executor,
+// or nil.
+func (q *Quincy) popPlanned(execID int) *app.Task {
+	h := &q.held
+	for i, planned := range h.plan {
+		if h.view[2*i] != execID {
+			continue
 		}
+		if len(planned) == 0 {
+			return nil
+		}
+		h.plan[i] = planned[1:]
+		q.gen++
+		return planned[0]
 	}
 	return nil
 }
@@ -78,67 +127,119 @@ func (q *Quincy) takeFromQueue(t *app.Task) bool {
 	for i, qt := range q.queue {
 		if qt == t {
 			q.queue = append(q.queue[:i], q.queue[i+1:]...)
+			q.gen++
+			if len(q.queue) == 0 {
+				q.held = replanState{}
+			}
 			return true
 		}
 	}
 	return false
 }
 
-// replan solves the min-cost assignment of pending tasks to executor slots.
+// replan solves the min-cost assignment of pending tasks to executor slots,
+// unless the network is the one the held plan was solved on.
 func (q *Quincy) replan() {
 	q.dirty = false
-	q.plan = map[int][]*app.Task{}
+	h := &q.held
 	execs := q.View()
+	h.nextView = h.nextView[:0]
+	for _, e := range execs {
+		h.nextView = append(h.nextView, e.ID, e.Slots())
+	}
+	h.nextCosts = q.buildCosts(h.nextCosts[:0], execs)
+	if h.solved && h.solvedGen == q.gen && slices.Equal(h.view, h.nextView) && slices.Equal(h.costs, h.nextCosts) {
+		return
+	}
+	h.view, h.nextView = h.nextView, h.view
+	h.costs, h.nextCosts = h.nextCosts, h.costs
+	h.solved, h.solvedGen = true, q.gen
+	h.plan = resize(h.plan, len(execs))
+	for i := range h.plan {
+		h.plan[i] = h.plan[i][:0]
+	}
 	if len(execs) == 0 || len(q.queue) == 0 {
 		return
 	}
+	q.solves++
 	// Node layout: 0 source, 1..T tasks, then executors, then sink.
-	nT := len(q.queue)
+	nT, nE := len(q.queue), len(execs)
 	execBase := 1 + nT
-	sink := execBase + len(execs)
-	g := maxflow.NewGraph(sink + 1)
-	type edgeRef struct {
-		id   int
-		task *app.Task
-		exec *cluster.Executor
+	sink := execBase + nE
+	if h.g == nil {
+		h.g = maxflow.NewGraph(sink + 1)
+	} else {
+		h.g.Reset(sink + 1)
 	}
-	var refs []edgeRef
-	rl, hasRacks := q.Loc.(RackLocator)
+	g := h.g
 	for ei, e := range execs {
-		cap := float64(e.Slots())
-		g.AddEdge(execBase+ei, sink, cap, 0)
+		g.AddEdge(execBase+ei, sink, float64(e.Slots()), 0)
 	}
-	for ti, t := range q.queue {
+	h.edges = resize(h.edges, nT*nE)
+	for ti := range q.queue {
 		g.AddEdge(0, 1+ti, 1, 0)
-		for ei, e := range execs {
-			cost := q.AnyCost
-			if !hasPreference(q.Loc, t) {
-				cost = q.LocalCost // no preference: any slot is fine
-			} else if localOn(q.Loc, t, e.Node.ID) {
-				cost = q.LocalCost
-			} else if hasRacks && q.rackLocal(rl, t, e.Node.ID) {
-				cost = q.RackCost
-			}
-			id := g.AddEdge(1+ti, execBase+ei, 1, cost)
-			refs = append(refs, edgeRef{id: id, task: t, exec: e})
+		for ei := range execs {
+			h.edges[ti*nE+ei] = g.AddEdge(1+ti, execBase+ei, 1, h.costs[ti*nE+ei])
 		}
 	}
 	g.MinCostFlow(0, sink, float64(nT))
-	for _, r := range refs {
-		if g.Flow(r.id) > 0.5 {
-			q.plan[r.exec.ID] = append(q.plan[r.exec.ID], r.task)
+	for ti, t := range q.queue {
+		for ei := range execs {
+			if g.Flow(h.edges[ti*nE+ei]) > 0.5 {
+				h.plan[ei] = append(h.plan[ei], t)
+			}
 		}
 	}
 }
 
-func (q *Quincy) rackLocal(rl RackLocator, t *app.Task, node int) bool {
-	rack := rl.Rack(node)
-	for _, n := range rl.Locations(t.Block) {
-		if rl.Rack(n) == rack {
-			return true
+// buildCosts appends the task-major cost matrix of placing each queued
+// task on each executor, asking the locator once per task.
+func (q *Quincy) buildCosts(costs []float64, execs []*cluster.Executor) []float64 {
+	h := &q.held
+	rl, hasRacks := q.Loc.(RackLocator)
+	if hasRacks {
+		h.execRack = h.execRack[:0]
+		for _, e := range execs {
+			h.execRack = append(h.execRack, rl.Rack(e.Node.ID))
 		}
 	}
-	return false
+	for _, t := range q.queue {
+		var locs []int
+		if t.IsInput() {
+			locs = q.Loc.Locations(t.Block)
+		}
+		if len(locs) == 0 {
+			// No preference: any slot is fine.
+			for range execs {
+				costs = append(costs, q.LocalCost)
+			}
+			continue
+		}
+		if hasRacks {
+			h.replRack = h.replRack[:0]
+			for _, n := range locs {
+				h.replRack = append(h.replRack, rl.Rack(n))
+			}
+		}
+		for ei, e := range execs {
+			cost := q.AnyCost
+			if slices.Contains(locs, e.Node.ID) {
+				cost = q.LocalCost
+			} else if hasRacks && slices.Contains(h.replRack, h.execRack[ei]) {
+				cost = q.RackCost
+			}
+			costs = append(costs, cost)
+		}
+	}
+	return costs
+}
+
+// resize returns b with length n, reusing its storage when large enough.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 // Pending implements Scheduler.
