@@ -5,10 +5,35 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
 )
+
+var (
+	repoOnce sync.Once
+	repo     *analysis.Module
+	repoErr  error
+)
+
+// repoModule loads this repository's module once per test binary; the
+// tests that read it share the load.
+func repoModule(t *testing.T) *analysis.Module {
+	t.Helper()
+	repoOnce.Do(func() {
+		root, err := analysis.FindModuleRoot(".")
+		if err != nil {
+			repoErr = err
+			return
+		}
+		repo, repoErr = analysis.LoadModule(root)
+	})
+	if repoErr != nil {
+		t.Fatal(repoErr)
+	}
+	return repo
+}
 
 // loadFixture loads one testdata/src fixture tree as a module named
 // "fixture" and runs the full rule set over it.
@@ -208,14 +233,7 @@ func TestLockOrderReportDeterministic(t *testing.T) {
 // repo's first long-lived concurrent component, and its lock must be part
 // of the machine-checked acquisition order.
 func TestLockOrderReportCoversCustodyd(t *testing.T) {
-	root, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := analysis.LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := repoModule(t)
 	report := analysis.LockOrderReport(m)
 	if !strings.Contains(report, "Server.mu") {
 		t.Errorf("lock report does not cover custodyd's Server.mu:\n%s", report)
@@ -231,14 +249,7 @@ func TestLockOrderReportCoversCustodyd(t *testing.T) {
 // pick/update chain (the benchreg allocs/op gate) and the min-cost solver's
 // heap (TestWarmResolveAllocatesNothing).
 func TestNoAllocHotPathsAnnotated(t *testing.T) {
-	root, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := analysis.LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := repoModule(t)
 	got := map[string]bool{}
 	for _, name := range m.NoAllocFuncs() {
 		got[name] = true
@@ -290,14 +301,7 @@ func TestDiagnosticFormat(t *testing.T) {
 // and error-handling contracts documented in DESIGN.md — a regression here
 // means a contract was broken (or needs an annotated, reasoned exception).
 func TestSelfLint(t *testing.T) {
-	root, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := analysis.LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := repoModule(t)
 	for _, d := range analysis.Run(m, analysis.All()) {
 		t.Errorf("%s", d)
 	}

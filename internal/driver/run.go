@@ -13,6 +13,16 @@ import (
 // manager and returns the collected metrics. The same schedule replayed with
 // a different Config.Manager is the paper's comparison methodology (§VI-A2).
 func RunSchedule(cfg Config, sched workload.Schedule) (*metrics.Collector, error) {
+	d, err := newScheduled(cfg, sched)
+	if err != nil {
+		return nil, err
+	}
+	return d.Run(), nil
+}
+
+// newScheduled builds a started driver with the schedule's input files
+// loaded and its job submissions queued.
+func newScheduled(cfg Config, sched workload.Schedule) (*Driver, error) {
 	d := New(cfg)
 	files := make([]*hdfs.File, len(sched.Files))
 	for i, fs := range sched.Files {
@@ -31,5 +41,5 @@ func RunSchedule(cfg Config, sched workload.Schedule) (*metrics.Collector, error
 		j := workload.BuildJob(sched.Spec.Kind, i+1, files[sub.FileIdx])
 		d.SubmitJobAt(sub.At, apps[sub.App], j)
 	}
-	return d.Run(), nil
+	return d, nil
 }

@@ -10,6 +10,14 @@
 // netsim/chaos timer churn is O(1) instead of an O(n) removal. When more
 // than half the queue (and more than a fixed floor) is dead, the queue is
 // compacted in one pass.
+//
+// A subsystem that batches its own work can let the engine decide when to
+// settle it. ReserveSeq hands out a tie-stamp now for an event that will be
+// scheduled later with AtSeq, and Defer registers a function the engine runs
+// before it fires any event ordered after (now, last reserved tie-stamp) and
+// before Step, Run or RunUntil return. A deferred function that schedules
+// under the reserved stamp therefore leaves the event order exactly as if
+// the event had been scheduled when the stamp was reserved.
 package event
 
 import (
@@ -45,6 +53,12 @@ type Engine struct {
 	running  bool
 	stopped  bool
 	horizon  float64 // RunUntil limit; +Inf when unused
+
+	// deferred functions run before the engine fires an event ordered after
+	// (resTime, resSeq), the instant and value of the last ReserveSeq.
+	deferred []func()
+	resTime  float64
+	resSeq   uint64
 }
 
 // compactFloor is the minimum number of dead entries before a compaction is
@@ -81,16 +95,60 @@ func (e *Engine) Schedule(delay float64, fn func()) *Timer {
 
 // At schedules fn to run at absolute time t, which must not be in the past.
 func (e *Engine) At(t float64, fn func()) *Timer {
+	seq := e.seq
+	e.seq++
+	return e.AtSeq(t, seq, fn)
+}
+
+// ReserveSeq hands out a tie-stamp now for an event to be scheduled later
+// with AtSeq. The event then sorts among same-time events as if At had been
+// called at the moment of the reservation.
+func (e *Engine) ReserveSeq() uint64 {
+	s := e.seq
+	e.seq++
+	e.resTime, e.resSeq = e.now, s
+	return s
+}
+
+// AtSeq schedules fn at absolute time t, which must not be in the past,
+// under a tie-stamp already handed out by the engine (ReserveSeq).
+func (e *Engine) AtSeq(t float64, seq uint64, fn func()) *Timer {
 	if fn == nil {
-		panic("event: At called with nil function")
+		panic("event: scheduled a nil function")
 	}
 	if t < e.now {
-		panic(fmt.Sprintf("event: At called with time %v < now %v", t, e.now))
+		panic(fmt.Sprintf("event: scheduled at time %v < now %v", t, e.now))
 	}
-	tm := &Timer{time: t, seq: e.seq, fn: fn, inQueue: true}
-	e.seq++
+	if seq >= e.seq {
+		panic(fmt.Sprintf("event: scheduled under unreserved tie-stamp %d", seq))
+	}
+	tm := &Timer{time: t, seq: seq, fn: fn, inQueue: true}
 	e.push(tm)
 	return tm
+}
+
+// Defer registers fn to run before the engine fires any event ordered after
+// (now, last reserved tie-stamp): every event at a later time, and every
+// same-instant event scheduled after the last ReserveSeq. Deferred
+// functions also run before Step, Run and RunUntil return on an empty
+// queue, past the RunUntil horizon, or after Stop. They run in
+// registration order, and may schedule events; an event they schedule at
+// or before the horizon still fires within the same RunUntil.
+func (e *Engine) Defer(fn func()) {
+	if fn == nil {
+		panic("event: Defer called with nil function")
+	}
+	e.deferred = append(e.deferred, fn)
+}
+
+// runDeferred runs and clears the deferred functions, including any they
+// register themselves.
+func (e *Engine) runDeferred() {
+	for i := 0; i < len(e.deferred); i++ {
+		e.deferred[i]()
+	}
+	clear(e.deferred)
+	e.deferred = e.deferred[:0]
 }
 
 // Cancel cancels a previously scheduled timer in O(1): the handle is marked
@@ -112,16 +170,25 @@ func (e *Engine) Cancel(t *Timer) {
 
 // Step executes the next pending event, if any, and reports whether an event
 // was executed. Cancelled events are discarded without counting as a step.
+// Deferred functions run first when the next event is ordered after the
+// last reserved tie-stamp, or when there is no event to execute.
 func (e *Engine) Step() bool {
-	for len(e.pq) > 0 {
-		tm := e.pq[0]
-		if tm.cancelled {
-			e.popRoot()
-			e.ncancel--
-			continue
+	for {
+		var tm *Timer
+		if len(e.pq) > 0 {
+			tm = e.pq[0]
+			if tm.cancelled {
+				e.popRoot()
+				e.ncancel--
+				continue
+			}
 		}
-		if tm.time > e.horizon {
-			return false // past the run horizon; leave it queued
+		if len(e.deferred) > 0 && (tm == nil || tm.time > e.resTime || tm.seq > e.resSeq) {
+			e.runDeferred()
+			continue // the deferred functions may have scheduled an earlier event
+		}
+		if tm == nil || tm.time > e.horizon {
+			return false // empty, or past the run horizon; leave it queued
 		}
 		e.popRoot()
 		e.now = tm.time
@@ -129,7 +196,6 @@ func (e *Engine) Step() bool {
 		tm.fn()
 		return true
 	}
-	return false
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -164,6 +230,7 @@ func (e *Engine) loop() {
 	defer func() { e.running = false }()
 	for !e.stopped && e.Step() {
 	}
+	e.runDeferred() // after Stop; Step has already run them otherwise
 	if e.stopped && e.horizon == math.Inf(1) {
 		e.stopped = false
 	}

@@ -1,9 +1,11 @@
 package event
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -333,6 +335,186 @@ func TestCancelledPendingLazy(t *testing.T) {
 	if e.Executed() != 1 {
 		t.Fatalf("Executed() = %d, want 1 (discarded cancel must not count)", e.Executed())
 	}
+}
+
+// logger records labelled events with the clock at which they ran.
+type logger struct {
+	e   *Engine
+	got []string
+}
+
+func (l *logger) add(label string) { l.got = append(l.got, fmt.Sprintf("%s@%v", label, l.e.Now())) }
+
+func (l *logger) fn(label string) func() { return func() { l.add(label) } }
+
+func (l *logger) want(t *testing.T, want ...string) {
+	t.Helper()
+	if strings.Join(l.got, " ") != strings.Join(want, " ") {
+		t.Fatalf("ran %v, want %v", l.got, want)
+	}
+}
+
+// TestDeferRunsBeforeClockAdvances pins that a deferred function runs at
+// the instant it was registered, before any later event, under Run and
+// RunUntil alike.
+func TestDeferRunsBeforeClockAdvances(t *testing.T) {
+	for _, mode := range []string{"Run", "RunUntil"} {
+		t.Run(mode, func(t *testing.T) {
+			e := NewEngine()
+			l := &logger{e: e}
+			e.Schedule(1, func() {
+				l.add("a")
+				e.Defer(l.fn("flush"))
+			})
+			e.Schedule(2, l.fn("b"))
+			if mode == "Run" {
+				e.Run()
+			} else {
+				e.RunUntil(5)
+			}
+			l.want(t, "a@1", "flush@1", "b@2")
+		})
+	}
+}
+
+// TestDeferBeforeReturn pins that deferred functions run before the engine
+// returns: on an empty queue (Step, Run), when the next event lies past the
+// RunUntil horizon, and after Stop.
+func TestDeferBeforeReturn(t *testing.T) {
+	t.Run("empty-step", func(t *testing.T) {
+		e := NewEngine()
+		l := &logger{e: e}
+		e.Defer(l.fn("flush"))
+		if e.Step() {
+			t.Fatal("Step on an empty queue executed an event")
+		}
+		l.want(t, "flush@0")
+	})
+	t.Run("empty-run", func(t *testing.T) {
+		e := NewEngine()
+		l := &logger{e: e}
+		e.Schedule(1, func() { e.Defer(l.fn("flush")) })
+		e.Run()
+		l.want(t, "flush@1")
+	})
+	t.Run("horizon", func(t *testing.T) {
+		e := NewEngine()
+		l := &logger{e: e}
+		e.Schedule(1, func() { e.Defer(l.fn("flush")) })
+		e.Schedule(9, l.fn("late"))
+		e.RunUntil(4)
+		l.want(t, "flush@1")
+		if e.Now() != 4 || e.Pending() != 1 {
+			t.Fatalf("Now() = %v, Pending() = %d; want 4 and 1", e.Now(), e.Pending())
+		}
+	})
+	t.Run("stop", func(t *testing.T) {
+		e := NewEngine()
+		l := &logger{e: e}
+		e.Schedule(1, func() {
+			e.Defer(l.fn("flush"))
+			e.Stop()
+		})
+		e.Schedule(2, l.fn("b"))
+		e.RunUntil(5)
+		l.want(t, "flush@1")
+		if e.Now() != 1 {
+			t.Fatalf("Now() = %v after Stop, want 1", e.Now())
+		}
+		e.Run()
+		l.want(t, "flush@1", "b@2")
+	})
+}
+
+// TestDeferScheduleWithinHorizon pins that work a deferred function
+// schedules at or before the RunUntil horizon fires within that RunUntil,
+// and work past the horizon stays queued.
+func TestDeferScheduleWithinHorizon(t *testing.T) {
+	e := NewEngine()
+	l := &logger{e: e}
+	e.Schedule(1, func() {
+		e.Defer(func() {
+			e.At(4, l.fn("at-horizon"))
+			e.At(5, l.fn("past"))
+		})
+	})
+	e.RunUntil(4)
+	l.want(t, "at-horizon@4")
+	e.Run()
+	l.want(t, "at-horizon@4", "past@5")
+
+	// The queue is empty when the deferred function runs.
+	e = NewEngine()
+	l = &logger{e: e}
+	e.Defer(func() { e.Schedule(2, l.fn("x")) })
+	e.RunUntil(3)
+	l.want(t, "x@2")
+}
+
+// TestAtSeqOrdersAmongSameTimeEvents pins that an event scheduled with
+// AtSeq sorts among same-time events by its reserved tie-stamp: after
+// events scheduled before the reservation, before events scheduled after.
+func TestAtSeqOrdersAmongSameTimeEvents(t *testing.T) {
+	e := NewEngine()
+	l := &logger{e: e}
+	e.At(1, l.fn("before"))
+	seq := e.ReserveSeq()
+	e.At(1, l.fn("after"))
+	e.At(0.5, l.fn("earlier"))
+	e.AtSeq(1, seq, l.fn("reserved"))
+	e.Run()
+	l.want(t, "earlier@0.5", "before@1", "reserved@1", "after@1")
+}
+
+func TestAtSeqUnreservedPanics(t *testing.T) {
+	e := NewEngine()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AtSeq with a tie-stamp never handed out did not panic")
+		}
+	}()
+	e.AtSeq(1, 0, func() {})
+}
+
+// TestDeferOrderingRule pins the flush point within an instant: a
+// same-instant event scheduled before the last reservation fires without
+// the flush; one scheduled after it makes the flush run first. A timer the
+// flush schedules at now under the reserved stamp then fires before that
+// later event, exactly where it would have fired had it been scheduled at
+// the reservation.
+func TestDeferOrderingRule(t *testing.T) {
+	e := NewEngine()
+	l := &logger{e: e}
+	e.At(1, func() {
+		l.add("mutate")
+		seq := e.ReserveSeq()
+		e.Defer(func() {
+			l.add("flush")
+			e.AtSeq(e.Now(), seq, l.fn("timer"))
+		})
+		e.Schedule(0, l.fn("scheduled-after"))
+	})
+	e.At(1, l.fn("scheduled-before"))
+	e.Run()
+	l.want(t, "mutate@1", "scheduled-before@1", "flush@1", "timer@1", "scheduled-after@1")
+
+	// A later reservation moves the flush point past an event scheduled
+	// after the first reservation but before the last.
+	e = NewEngine()
+	l = &logger{e: e}
+	e.At(1, func() {
+		l.add("m1")
+		e.ReserveSeq()
+		e.Defer(l.fn("flush"))
+	})
+	e.At(1, func() {
+		l.add("m2")
+		e.Schedule(0, l.fn("between"))
+		e.ReserveSeq()
+		e.Schedule(0, l.fn("after"))
+	})
+	e.Run()
+	l.want(t, "m1@1", "m2@1", "between@1", "flush@1", "after@1")
 }
 
 // BenchmarkTimerChurn measures the netsim/chaos pattern the 4-ary heap and

@@ -18,6 +18,17 @@
 // Flow completions are event-driven: after every rate change the fabric
 // advances each flow's remaining bytes and reschedules a single timer for the
 // earliest completion.
+//
+// Refills are deferred. A change (flow activation, cancel, completion,
+// partition, capacity scaling) advances the flows, cancels the completion
+// timer, reserves the engine tie-stamp the timer would take, and marks the
+// fabric dirty. The engine runs one flush before it fires any event ordered
+// after that stamp (event.Engine.Defer), so all changes made at one instant
+// cost one refill, and the timer is scheduled under the last reserved stamp.
+// A rate that lived for zero simulated time moved no bytes, so every rate,
+// completion time and event order equals that of refilling on every change.
+// Readers that need current rates (Flows, CheckMaxMin, Utilization) flush
+// first.
 package netsim
 
 import (
@@ -97,7 +108,10 @@ func (f *Flow) Src() int { return f.src }
 // Dst returns the flow's destination node (-1 for custom flows).
 func (f *Flow) Dst() int { return f.dst }
 
-// Rate returns the flow's current max-min fair rate in bytes/second.
+// Rate returns the flow's max-min fair rate in bytes/second as of the
+// fabric's last flush. Changes made at the current instant are not
+// reflected until the engine moves on to a later event; a caller outside
+// the engine should read rates through Fabric.Flows, which flushes first.
 func (f *Flow) Rate() float64 { return f.rate }
 
 // Remaining returns the bytes left to transfer as of the last rate update.
@@ -128,6 +142,14 @@ type Fabric struct {
 	lastUpdate float64
 	timer      *event.Timer
 
+	// dirty marks changes not yet refilled; seq is the tie-stamp reserved
+	// by the last change, under which the flush schedules the timer.
+	// flushFn is flush as a func value made once, so registering it with
+	// the engine allocates nothing.
+	dirty   bool
+	seq     uint64
+	flushFn func()
+
 	// baseCap remembers a resource's nominal capacity while it is scaled
 	// away from it (degraded links, slow disks). Populated lazily on the
 	// first scale so capacity adjustments made at construction time (e.g.
@@ -143,6 +165,12 @@ type Fabric struct {
 	TotalBytesMoved float64
 	// CompletedFlows counts flows that ran to completion.
 	CompletedFlows int64
+	// Changes counts changes to the flow set or to capacities: activations,
+	// cancels, completion batches, partition and scaling changes.
+	Changes int64
+	// Refills counts progressive-filling passes: at most one per instant at
+	// which the fabric changed, plus one per reader that found it dirty.
+	Refills int64
 }
 
 // Config describes per-node capacities in bytes per second.
@@ -188,6 +216,7 @@ func NewFabric(eng *event.Engine, n int, cfg Config) *Fabric {
 		latency: cfg.LatencySec,
 		baseCap: make(map[*Resource]float64),
 	}
+	f.flushFn = f.flush
 	memBps := cfg.MemoryBps
 	if memBps <= 0 {
 		memBps = DefaultMemoryBps
@@ -359,7 +388,7 @@ func (fb *Fabric) activate(fl *Flow) {
 	for _, r := range fl.resources {
 		r.flows = insertFlow(r.flows, fl)
 	}
-	fb.reallocate()
+	fb.changed()
 }
 
 // Cancel aborts a flow in flight. Its done callback never runs. Cancelling a
@@ -371,7 +400,7 @@ func (fb *Fabric) Cancel(fl *Flow) {
 	fl.cancelled = true
 	fb.advance()
 	fb.detach(fl)
-	fb.reallocate()
+	fb.changed()
 }
 
 // detach removes a flow from the fabric's and its resources' lists; a flow
@@ -433,21 +462,42 @@ func (fb *Fabric) advance() {
 	}
 }
 
+// changed records a change to the flow set or to a capacity, made after
+// advance: it cancels the completion timer, reserves the tie-stamp a refill
+// here would have scheduled it under, and leaves the refill to the flush.
+func (fb *Fabric) changed() {
+	if fb.timer != nil {
+		fb.eng.Cancel(fb.timer)
+		fb.timer = nil
+	}
+	fb.Changes++
+	fb.seq = fb.eng.ReserveSeq()
+	if !fb.dirty {
+		fb.dirty = true
+		fb.eng.Defer(fb.flushFn)
+	}
+}
+
+// flush refills the rates if the fabric changed since the last refill.
+func (fb *Fabric) flush() {
+	if fb.dirty {
+		fb.dirty = false
+		fb.reallocate()
+	}
+}
+
 // reallocate recomputes max-min fair rates via progressive filling and
-// reschedules the completion timer.
+// schedules the completion timer under the last reserved tie-stamp.
 //
 // Every iteration runs over ID-ordered lists, and the bottleneck is the
 // first-touched resource with the smallest share, so tie-breaking and the
 // order of each resource's residual subtractions (hence every rate, bit for
 // bit) are reproducible run to run.
 func (fb *Fabric) reallocate() {
-	if fb.timer != nil {
-		fb.eng.Cancel(fb.timer)
-		fb.timer = nil
-	}
 	if len(fb.flows) == 0 {
 		return
 	}
+	fb.Refills++
 
 	fb.epoch++
 	touched := fb.touched[:0]
@@ -518,7 +568,7 @@ func (fb *Fabric) reallocate() {
 	if math.IsInf(soonest, 1) {
 		panic("netsim: active flows but no positive rates")
 	}
-	fb.timer = fb.eng.Schedule(soonest, fb.onCompletion)
+	fb.timer = fb.eng.AtSeq(fb.eng.Now()+soonest, fb.seq, fb.onCompletion)
 }
 
 // onCompletion fires when at least one flow should have drained.
@@ -543,9 +593,9 @@ func (fb *Fabric) onCompletion() {
 		fb.TotalBytesMoved += fl.Bytes
 		fb.CompletedFlows++
 	}
-	fb.reallocate()
-	// Run callbacks after rates are consistent so callbacks that start new
-	// flows observe a clean state.
+	fb.changed()
+	// Run callbacks after the finished flows are detached; flows the
+	// callbacks start join the same flush.
 	for _, fl := range finished {
 		if fl.done != nil {
 			fl.done()
@@ -553,8 +603,12 @@ func (fb *Fabric) onCompletion() {
 	}
 }
 
-// Flows returns a copy of the active flows ordered by ID (audits and tests).
-func (fb *Fabric) Flows() []*Flow { return append([]*Flow(nil), fb.flows...) }
+// Flows flushes pending changes and returns a copy of the active flows
+// ordered by ID (audits and tests).
+func (fb *Fabric) Flows() []*Flow {
+	fb.flush()
+	return append([]*Flow(nil), fb.flows...)
+}
 
 // Partitioned reports whether a network partition is in effect.
 func (fb *Fabric) Partitioned() bool { return fb.partition != nil }
@@ -589,7 +643,7 @@ func (fb *Fabric) SetPartition(groups []int, chokeBps float64) {
 			fb.choke.flows = append(fb.choke.flows, fl) // fb.flows is ID-ordered
 		}
 	}
-	fb.reallocate()
+	fb.changed()
 }
 
 // ClearPartition heals the partition: choked flows regain their normal
@@ -609,7 +663,7 @@ func (fb *Fabric) ClearPartition() {
 	}
 	fb.partition = nil
 	fb.choke = nil
-	fb.reallocate()
+	fb.changed()
 }
 
 // scale sets a resource's capacity to factor × its nominal capacity,
@@ -636,7 +690,7 @@ func (fb *Fabric) ScaleLinks(node int, factor float64) {
 	fb.advance()
 	fb.scale(fb.up[node], factor)
 	fb.scale(fb.down[node], factor)
-	fb.reallocate()
+	fb.changed()
 }
 
 // ScaleDisk degrades (or restores, with factor 1) a node's disk bandwidth
@@ -644,12 +698,13 @@ func (fb *Fabric) ScaleLinks(node int, factor float64) {
 func (fb *Fabric) ScaleDisk(node int, factor float64) {
 	fb.advance()
 	fb.scale(fb.disk[node], factor)
-	fb.reallocate()
+	fb.changed()
 }
 
 // Utilization returns the fraction of a resource's capacity currently
-// allocated; useful in tests and metrics.
+// allocated, after flushing pending changes; useful in tests and metrics.
 func (fb *Fabric) Utilization(r *Resource) float64 {
+	fb.flush()
 	sum := 0.0
 	for _, fl := range r.flows {
 		sum += fl.rate
@@ -664,6 +719,7 @@ func (fb *Fabric) Utilization(r *Resource) float64 {
 // Bertsekas & Gallager, Data Networks §6.5. Comparisons allow a relative
 // error of 1e-9 for the rounding of progressive filling.
 func (fb *Fabric) CheckMaxMin() error {
+	fb.flush()
 	const tol = 1e-9
 	type load struct{ sum, max float64 }
 	loads := make(map[*Resource]load)

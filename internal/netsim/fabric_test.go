@@ -402,3 +402,48 @@ func TestCheckMaxMinRejects(t *testing.T) {
 		t.Fatal("flow with a faster flow on every saturated resource accepted")
 	}
 }
+
+// TestSameInstantActivationsRefillOnce pins the deferred refill: k flows
+// whose setup latency ends at one instant cost one progressive-filling
+// pass, a clean fabric's readers cost none, and changes made in one event
+// cost one more.
+func TestSameInstantActivationsRefillOnce(t *testing.T) {
+	eng := event.NewEngine()
+	fb := NewFabric(eng, 4, Config{UplinkBps: 100, DownlinkBps: 100, DiskBps: 100, LatencySec: 1})
+	const k = 6
+	var flows []*Flow
+	for i := 0; i < k; i++ {
+		flows = append(flows, fb.Transfer(i%4, (i+1)%4, 1000, nil))
+	}
+	eng.RunUntil(1)
+	if fb.ActiveFlows() != k || fb.Changes != k || fb.Refills != 1 {
+		t.Fatalf("after %d activations at one instant: active=%d changes=%d refills=%d, want %d, %d, 1",
+			k, fb.ActiveFlows(), fb.Changes, fb.Refills, k, k)
+	}
+	if err := fb.CheckMaxMin(); err != nil {
+		t.Fatal(err)
+	}
+	fb.Flows()
+	fb.Utilization(fb.UplinkResource(0))
+	if fb.Refills != 1 {
+		t.Fatalf("readers of a clean fabric refilled: refills=%d, want 1", fb.Refills)
+	}
+	eng.Schedule(0.5, func() {
+		fb.Cancel(flows[0])
+		fb.Cancel(flows[1])
+		fb.ScaleLinks(2, 0.5)
+	})
+	eng.RunUntil(2)
+	if fb.Changes != k+3 || fb.Refills != 2 {
+		t.Fatalf("after three changes in one event: changes=%d refills=%d, want %d and 2", fb.Changes, fb.Refills, k+3)
+	}
+	// A reader that finds the fabric dirty refills at once.
+	fb.Cancel(flows[2])
+	if got := fb.Flows(); len(got) != k-3 || fb.Refills != 3 {
+		t.Fatalf("Flows after a cancel: %d flows, refills=%d; want %d and 3", len(got), fb.Refills, k-3)
+	}
+	eng.RunUntil(3)
+	if fb.Refills != 3 {
+		t.Fatalf("the engine refilled a fabric its reader had flushed: refills=%d, want 3", fb.Refills)
+	}
+}
