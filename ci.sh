@@ -85,6 +85,7 @@ go test -run='^$' -fuzz='^FuzzMinCostFlow$' -fuzztime=10s ./internal/maxflow
 go test -run='^$' -fuzz='^FuzzMaxWeightAssignment$' -fuzztime=10s ./internal/matching
 go test -run='^$' -fuzz='^FuzzFabricEquivalence$' -fuzztime=10s ./internal/netsim
 go test -run='^$' -fuzz='^FuzzQuincyEquivalence$' -fuzztime=10s ./internal/scheduler
+go test -run='^$' -fuzz='^FuzzDelayEquivalence$' -fuzztime=10s ./internal/scheduler
 
 echo "== modelcheck mutation smoke"
 # Compile the seeded allocator bug (inverted fairness comparison, build tag

@@ -246,8 +246,9 @@ func TestLockOrderReportCoversCustodyd(t *testing.T) {
 // TestNoAllocHotPathsAnnotated pins that the static //custody:noalloc
 // contract covers the paths the dynamic allocation gates cover: the flight
 // recorder's record path (TestRecordingDoesNotAllocate), the allocator's
-// pick/update chain (the benchreg allocs/op gate) and the min-cost solver's
-// heap (TestWarmResolveAllocatesNothing).
+// pick/update chain (the benchreg allocs/op gate), the min-cost solver's
+// heap (TestWarmResolveAllocatesNothing) and the NameNode's locality
+// predicates (TestLocalityPredicatesDoNotAllocate).
 func TestNoAllocHotPathsAnnotated(t *testing.T) {
 	m := repoModule(t)
 	got := map[string]bool{}
@@ -276,6 +277,11 @@ func TestNoAllocHotPathsAnnotated(t *testing.T) {
 		// min-cost flow Dijkstra heap.
 		"internal/maxflow.pq.push",
 		"internal/maxflow.pq.pop",
+		// hdfs locality predicates.
+		"internal/hdfs.NameNode.HasReplicaOn",
+		"internal/hdfs.NameNode.HasReplica",
+		"internal/hdfs.containsNode",
+		"internal/hdfs.DataNode.Alive",
 	} {
 		if !got[want] {
 			t.Errorf("hot-path function %s is not annotated //custody:noalloc (have: %v)", want, m.NoAllocFuncs())

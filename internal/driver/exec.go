@@ -49,13 +49,7 @@ func (d *Driver) launch(t *app.Task, e *cluster.Executor, spec bool) {
 			}
 			locs = kept
 		}
-		local := false
-		for _, n := range locs {
-			if n == node {
-				local = true
-				break
-			}
-		}
+		local := d.nn.HasReplicaOn(t.Block, node) && !d.badSrc[t][node]
 		if local && !d.sourceReadable(node) {
 			// The local DataNode is flaking (stale metadata still lists
 			// it); read a surviving replica remotely instead.
@@ -246,13 +240,7 @@ func (d *Driver) attemptFinished(at *attempt) {
 		t.RanLocal = false
 	} else if at.spec {
 		// Re-derive locality for the winning (speculative) attempt.
-		t.RanLocal = false
-		for _, n := range d.nn.Locations(t.Block) {
-			if n == e.Node.ID {
-				t.RanLocal = true
-				break
-			}
-		}
+		t.RanLocal = d.nn.HasReplicaOn(t.Block, e.Node.ID)
 	}
 
 	d.col.AddTask(metrics.TaskRecord{
@@ -388,7 +376,7 @@ func (d *Driver) maybeSpeculate(s *app.Stage) {
 			if e.FreeSlots() <= 0 || d.execReady[e.ID] > now || d.nodeExcluded(e.Node.ID, now) {
 				continue
 			}
-			if t.IsInput() && d.localTo(t, e.Node.ID) {
+			if t.IsInput() && d.nn.HasReplicaOn(t.Block, e.Node.ID) {
 				pick = e
 				break
 			}
@@ -437,15 +425,5 @@ func (d *Driver) cacheTouch(node int, id hdfs.BlockID, size int64) bool {
 	ev := c.Admit(id, size)
 	d.col.CacheEvictions += ev
 	nc.Evictions += ev
-	return false
-}
-
-// localTo reports whether the task's block has a replica on the node.
-func (d *Driver) localTo(t *app.Task, node int) bool {
-	for _, n := range d.nn.Locations(t.Block) {
-		if n == node {
-			return true
-		}
-	}
 	return false
 }

@@ -59,15 +59,6 @@ type DataNode struct {
 // disabled (the zero-default configuration).
 func (d *DataNode) Cache() *BlockCache { return d.cache }
 
-// dropCached invalidates one cached block, if the cache tier is enabled —
-// called wherever the node loses a replica, so "cached implies held" stays
-// an invariant.
-func (d *DataNode) dropCached(id BlockID) {
-	if d.cache != nil {
-		d.cache.Invalidate(id)
-	}
-}
-
 // Holds reports whether the DataNode stores the block.
 func (d *DataNode) Holds(b BlockID) bool {
 	_, ok := d.blocks[b]
@@ -78,6 +69,8 @@ func (d *DataNode) Holds(b BlockID) bool {
 func (d *DataNode) BlockCount() int { return len(d.blocks) }
 
 // Alive reports whether the DataNode is in service (up and not suspended).
+//
+//custody:noalloc
 func (d *DataNode) Alive() bool { return d.alive && !d.suspended }
 
 // Suspended reports whether the DataNode is flaking (up but not serving).
@@ -296,12 +289,57 @@ func (nn *NameNode) Locations(id BlockID) []int {
 	return nn.liveLocations(id)
 }
 
+// HasReplicaOn reports whether Locations(id) names node, without building
+// the list: it equals slices.Contains(nn.Locations(id), node), stale windows
+// included. Schedulers ask it once per pending task per offer.
+//
+//custody:noalloc
+func (nn *NameNode) HasReplicaOn(id BlockID, node int) bool {
+	if nn.stale != nil {
+		if locs, ok := nn.stale[id]; ok {
+			return containsNode(locs, node)
+		}
+	}
+	return containsNode(nn.locations[id], node) && nn.datanodes[node].Alive()
+}
+
+// HasReplica reports whether Locations(id) is non-empty, without building
+// the list: a block with no live (or, in a stale window, advertised)
+// replica constrains no placement.
+//
+//custody:noalloc
+func (nn *NameNode) HasReplica(id BlockID) bool {
+	if nn.stale != nil {
+		if locs, ok := nn.stale[id]; ok {
+			return len(locs) > 0
+		}
+	}
+	for _, node := range nn.locations[id] {
+		if nn.datanodes[node].Alive() {
+			return true
+		}
+	}
+	return false
+}
+
+// containsNode reports whether nodes lists node (replica lists are short).
+//
+//custody:noalloc
+func containsNode(nodes []int, node int) bool {
+	for _, n := range nodes {
+		if n == node {
+			return true
+		}
+	}
+	return false
+}
+
 // liveLocations is the always-fresh truth, immune to stale windows.
 func (nn *NameNode) liveLocations(id BlockID) []int {
 	locs := nn.locations[id]
 	out := make([]int, 0, len(locs))
 	for _, node := range locs {
-		if d := nn.datanodes[node]; d.alive && !d.suspended {
+		if nn.datanodes[node].Alive() {
 			out = append(out, node)
 		}
 	}
@@ -362,28 +400,6 @@ func (nn *NameNode) RecordAccess(id BlockID) {
 	if b, ok := nn.blocks[id]; ok {
 		nn.files[b.File].Accesses++
 	}
-}
-
-// Delete removes a file and all of its replicas.
-func (nn *NameNode) Delete(name string) error {
-	f, ok := nn.files[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	for _, b := range f.Blocks {
-		for _, node := range nn.locations[b.ID] {
-			d := nn.datanodes[node]
-			if d.Holds(b.ID) {
-				delete(d.blocks, b.ID)
-				d.Used -= b.Size
-			}
-			d.dropCached(b.ID)
-		}
-		delete(nn.locations, b.ID)
-		delete(nn.blocks, b.ID)
-	}
-	delete(nn.files, name)
-	return nil
 }
 
 // ReplicaCopy records one re-replication transfer: the block is copied from
@@ -537,35 +553,3 @@ func (nn *NameNode) Files() []string {
 
 // TotalBlocks returns the number of distinct blocks in the namespace.
 func (nn *NameNode) TotalBlocks() int { return len(nn.blocks) }
-
-// BalanceReport summarizes how evenly replicas are spread over DataNodes.
-type BalanceReport struct {
-	MinReplicas, MaxReplicas int
-	MeanReplicas             float64
-}
-
-// Balance computes a replica-distribution report over live nodes.
-func (nn *NameNode) Balance() BalanceReport {
-	r := BalanceReport{MinReplicas: int(^uint(0) >> 1)}
-	total, n := 0, 0
-	for _, d := range nn.datanodes {
-		if !d.alive {
-			continue
-		}
-		c := d.BlockCount()
-		if c < r.MinReplicas {
-			r.MinReplicas = c
-		}
-		if c > r.MaxReplicas {
-			r.MaxReplicas = c
-		}
-		total += c
-		n++
-	}
-	if n > 0 {
-		r.MeanReplicas = float64(total) / float64(n)
-	} else {
-		r.MinReplicas = 0
-	}
-	return r
-}

@@ -2,6 +2,8 @@ package hdfs
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -94,34 +96,6 @@ func TestOpenAndExists(t *testing.T) {
 	}
 	if _, err := nn.Open("b"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Open missing file error = %v", err)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	nn := newNN(t, 5, WithBlockSize(100))
-	f, _ := nn.Create("a", 300)
-	ids := make([]BlockID, 0)
-	for _, b := range f.Blocks {
-		ids = append(ids, b.ID)
-	}
-	if err := nn.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if nn.Exists("a") {
-		t.Fatal("file exists after Delete")
-	}
-	for _, id := range ids {
-		if len(nn.Locations(id)) != 0 {
-			t.Fatalf("block %d still has replicas after Delete", id)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		if nn.DataNode(i).Used != 0 {
-			t.Fatalf("node %d Used = %d after Delete", i, nn.DataNode(i).Used)
-		}
-	}
-	if err := nn.Delete("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double Delete error = %v", err)
 	}
 }
 
@@ -279,69 +253,6 @@ func TestPopularityMaxExtraCap(t *testing.T) {
 	}
 }
 
-func TestBalanceReport(t *testing.T) {
-	nn := newNN(t, 10, WithBlockSize(100), WithReplication(3))
-	nn.Create("a", 3000)
-	r := nn.Balance()
-	if r.MeanReplicas != 9.0 { // 30 blocks × 3 replicas / 10 nodes
-		t.Fatalf("MeanReplicas = %v, want 9", r.MeanReplicas)
-	}
-	if r.MinReplicas > r.MaxReplicas {
-		t.Fatalf("min %d > max %d", r.MinReplicas, r.MaxReplicas)
-	}
-}
-
-func TestPlanRebalance(t *testing.T) {
-	nn := newNN(t, 4, WithBlockSize(100), WithReplication(1))
-	// Force imbalance: all blocks on node 0 via a capacity trick.
-	for i := 1; i < 4; i++ {
-		nn.DataNode(i).Capacity = 1 // too small for any block
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := nn.Create(string(rune('a'+i)), 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 1; i < 4; i++ {
-		nn.DataNode(i).Capacity = 0 // unlimited again
-	}
-	moves := nn.PlanRebalance(1)
-	if len(moves) == 0 {
-		t.Fatal("no rebalance moves proposed for a fully skewed cluster")
-	}
-	for _, m := range moves {
-		if err := nn.ApplyMove(m); err != nil {
-			t.Fatalf("ApplyMove(%+v): %v", m, err)
-		}
-	}
-	r := nn.Balance()
-	if r.MaxReplicas-r.MinReplicas > 2 {
-		t.Fatalf("still imbalanced after rebalance: %+v", r)
-	}
-	// Total replica count must be conserved.
-	total := 0
-	for i := 0; i < 4; i++ {
-		total += nn.DataNode(i).BlockCount()
-	}
-	if total != 8 {
-		t.Fatalf("replica count %d after rebalance, want 8", total)
-	}
-}
-
-func TestApplyMoveErrors(t *testing.T) {
-	nn := newNN(t, 3, WithBlockSize(100), WithReplication(1))
-	f, _ := nn.Create("a", 100)
-	id := f.Blocks[0].ID
-	holder := nn.Locations(id)[0]
-	other := (holder + 1) % 3
-	if err := nn.ApplyMove(RebalanceAdvice{Block: id, From: other, To: holder}); err == nil {
-		t.Fatal("move from non-holder succeeded")
-	}
-	if err := nn.ApplyMove(RebalanceAdvice{Block: 999, From: 0, To: 1}); err == nil {
-		t.Fatal("move of unknown block succeeded")
-	}
-}
-
 // Property: for any file size and block size, the blocks exactly tile the
 // file and every block has min(replication, nodes) distinct replicas.
 func TestQuickCreateInvariants(t *testing.T) {
@@ -385,19 +296,14 @@ func TestQuickCreateInvariants(t *testing.T) {
 }
 
 // Property: Used accounting matches the sum of stored block sizes, through
-// create/delete cycles.
+// a sequence of creates.
 func TestQuickUsedAccounting(t *testing.T) {
 	f := func(seed uint64, ops []uint16) bool {
 		nn := NewNameNode(6, xrand.New(seed), WithBlockSize(64), WithReplication(2))
 		live := map[string]bool{}
 		for i, op := range ops {
 			name := string(rune('a' + i%8))
-			if op%3 == 0 && live[name] {
-				if nn.Delete(name) != nil {
-					return false
-				}
-				delete(live, name)
-			} else if !live[name] {
+			if !live[name] {
 				if _, err := nn.Create(name, int64(op%500)+1); err != nil {
 					return false
 				}
@@ -423,6 +329,97 @@ func TestQuickUsedAccounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: HasReplicaOn and HasReplica answer exactly what Locations
+// does — slices.Contains(Locations(b), n) and len(Locations(b)) > 0 — for
+// every block (and one past the namespace) and every node, through random
+// histories of creates, node death and recommission, re-replication
+// commits and aborts, suspension and stale-metadata windows.
+func TestQuickLocalityPredicates(t *testing.T) {
+	const nodes = 6
+	f := func(seed uint64, ops []uint16) bool {
+		nn := NewNameNode(nodes, xrand.New(seed), WithBlockSize(64), WithReplication(2+int(seed%2)))
+		var copies []ReplicaCopy
+		end := BlockID(1) // checked IDs: every one handed out, plus one unknown
+		for i, op := range ops {
+			n, arg := int(op>>4)%nodes, int(op>>4)
+			switch op % 8 {
+			case 0:
+				// Fails with ErrNoSpace once every node is down.
+				if file, err := nn.Create(fmt.Sprintf("f%d", i), int64(arg%200)+1); err == nil {
+					end = file.Blocks[len(file.Blocks)-1].ID + 2
+				}
+			case 1:
+				cs, err := nn.Decommission(n)
+				if err != nil {
+					nn.Recommission(n)
+				}
+				copies = append(copies, cs...)
+			case 2, 3:
+				if len(copies) == 0 {
+					continue
+				}
+				k := arg % len(copies)
+				if op%8 == 2 {
+					// Fails if the target died first; the copy ends either way.
+					_ = nn.CommitReplica(copies[k].Block, copies[k].To)
+				} else {
+					nn.AbortReplica(copies[k].Block, copies[k].To)
+				}
+				copies = append(copies[:k], copies[k+1:]...)
+			case 4:
+				nn.Suspend(n)
+			case 5:
+				nn.Resume(n)
+			case 6:
+				nn.BeginStale()
+			case 7:
+				nn.EndStale()
+			}
+			for id := BlockID(0); id < end; id++ {
+				locs := nn.Locations(id)
+				if nn.HasReplica(id) != (len(locs) > 0) {
+					t.Logf("op %d: HasReplica(%d) = %v, Locations %v", i, id, nn.HasReplica(id), locs)
+					return false
+				}
+				for node := 0; node < nodes; node++ {
+					if got := nn.HasReplicaOn(id, node); got != slices.Contains(locs, node) {
+						t.Logf("op %d: HasReplicaOn(%d, %d) = %v, Locations %v", i, id, node, got, locs)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLocalityPredicatesDoNotAllocate pins the //custody:noalloc contract
+// of HasReplicaOn and HasReplica dynamically, fresh and inside a stale
+// window.
+func TestLocalityPredicatesDoNotAllocate(t *testing.T) {
+	nn := newNN(t, 8, WithBlockSize(100), WithReplication(3))
+	f, _ := nn.Create("a", 300)
+	nn.Suspend(nn.Locations(f.Blocks[0].ID)[0])
+	probe := func() {
+		for _, b := range f.Blocks {
+			for node := 0; node < 8; node++ {
+				nn.HasReplicaOn(b.ID, node)
+			}
+			nn.HasReplica(b.ID)
+		}
+	}
+	if n := testing.AllocsPerRun(100, probe); n != 0 {
+		t.Fatalf("fresh predicates allocate %v times per run", n)
+	}
+	nn.BeginStale()
+	if n := testing.AllocsPerRun(100, probe); n != 0 {
+		t.Fatalf("stale-window predicates allocate %v times per run", n)
 	}
 }
 

@@ -1,10 +1,5 @@
 package hdfs
 
-import (
-	"fmt"
-	"sort"
-)
-
 // PlacementPolicy chooses the DataNodes that receive a new block's replicas.
 type PlacementPolicy interface {
 	// Place returns the nodes for a block's replicas. Implementations must
@@ -147,127 +142,4 @@ func (p *PopularityPolicy) Place(nn *NameNode, b *Block, replicas int) ([]int, e
 		extra = p.MaxExtra
 	}
 	return RandomPolicy{}.Place(nn, b, replicas+extra)
-}
-
-// RebalanceAdvice lists moves that would even out replica counts: each move
-// re-homes one replica from an overloaded node to an underloaded one.
-type RebalanceAdvice struct {
-	Block    BlockID
-	From, To int
-}
-
-// PlanRebalance suggests replica moves until every live node is within
-// `slack` replicas of the mean. It does not mutate state; use ApplyMove.
-func (nn *NameNode) PlanRebalance(slack int) []RebalanceAdvice {
-	if slack < 0 {
-		slack = 0
-	}
-	var advice []RebalanceAdvice
-	counts := map[int]int{}
-	for _, d := range nn.datanodes {
-		if d.alive {
-			counts[d.Node] = d.BlockCount()
-		}
-	}
-	if len(counts) < 2 {
-		return nil
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	mean := float64(total) / float64(len(counts))
-	hi := int(mean) + slack
-	lo := int(mean) - slack
-	if lo < 0 {
-		lo = 0
-	}
-
-	// Deterministic order: scan nodes ascending, both when picking the
-	// overloaded sources and when breaking target-count ties below, so the
-	// advice never depends on map iteration order.
-	live := make([]int, 0, len(counts))
-	for node := range counts {
-		live = append(live, node)
-	}
-	sort.Ints(live)
-	var over []int
-	for _, node := range live {
-		if counts[node] > hi {
-			over = append(over, node)
-		}
-	}
-	// planned tracks bytes this plan already routes to each target, so a
-	// sequence of moves cannot collectively overflow a capacity-bounded node
-	// that each single move would fit on.
-	planned := map[int]int64{}
-	for _, from := range over {
-		d := nn.datanodes[from]
-		var ids []BlockID
-		for id := range d.blocks {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if counts[from] <= hi {
-				break
-			}
-			// Find the least-loaded underloaded target with room that lacks
-			// this block; count ties break toward the lowest node ID.
-			size := nn.blocks[id].Size
-			to := -1
-			for _, node := range live {
-				if node == from || counts[node] >= lo+1 || nn.datanodes[node].Holds(id) {
-					continue
-				}
-				if td := nn.datanodes[node]; td.Capacity > 0 && td.Used+planned[node]+size > td.Capacity {
-					continue
-				}
-				if to == -1 || counts[node] < counts[to] {
-					to = node
-				}
-			}
-			if to == -1 {
-				continue
-			}
-			advice = append(advice, RebalanceAdvice{Block: id, From: from, To: to})
-			counts[from]--
-			counts[to]++
-			planned[to] += size
-		}
-	}
-	return advice
-}
-
-// ApplyMove executes a rebalance move: the replica on From is dropped after a
-// copy is registered on To.
-func (nn *NameNode) ApplyMove(m RebalanceAdvice) error {
-	b, err := nn.Block(m.Block)
-	if err != nil {
-		return err
-	}
-	from := nn.datanodes[m.From]
-	if !from.Holds(m.Block) {
-		return ErrNotFound
-	}
-	if nn.datanodes[m.To].Holds(m.Block) {
-		return ErrExists
-	}
-	// Enforce the same capacity bound pickNode applies at placement time:
-	// rebalancing must not overflow a capacity-bounded target.
-	if to := nn.datanodes[m.To]; to.Capacity > 0 && to.Used+b.Size > to.Capacity {
-		return fmt.Errorf("%w: node %d cannot take block %d", ErrNoSpace, m.To, m.Block)
-	}
-	nn.addReplica(b, m.To)
-	delete(from.blocks, m.Block)
-	from.Used -= b.Size
-	from.dropCached(m.Block)
-	locs := nn.locations[m.Block]
-	for i, n := range locs {
-		if n == m.From {
-			nn.locations[m.Block] = append(locs[:i], locs[i+1:]...)
-			break
-		}
-	}
-	return nil
 }

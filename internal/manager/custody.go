@@ -370,13 +370,5 @@ func containsNode(nodes []int, n int) bool {
 
 // onNode reports whether the task's block has a replica on the node.
 func onNode(env Env, t *app.Task, node int) bool {
-	if !t.IsInput() {
-		return false
-	}
-	for _, n := range env.NameNode().Locations(t.Block) {
-		if n == node {
-			return true
-		}
-	}
-	return false
+	return t.IsInput() && env.NameNode().HasReplicaOn(t.Block, node)
 }

@@ -28,7 +28,7 @@ type Quincy struct {
 	// Costs of placing an input task relative to its block's replicas.
 	LocalCost, RackCost, AnyCost float64
 
-	queue []*app.Task
+	pendingQueue
 	dirty bool
 	// gen counts changes to the queue and to the held plan.
 	gen uint64
@@ -74,7 +74,7 @@ func (q *Quincy) Name() string { return "quincy" }
 
 // Submit implements Scheduler.
 func (q *Quincy) Submit(tasks []*app.Task, now float64) {
-	q.queue = append(q.queue, tasks...)
+	q.pendingQueue.Submit(tasks, now)
 	q.gen++
 	q.dirty = true
 }
@@ -82,7 +82,7 @@ func (q *Quincy) Submit(tasks []*app.Task, now float64) {
 // Offer implements Scheduler: consult (recomputing if stale) the flow plan
 // and launch the task planned for this executor.
 func (q *Quincy) Offer(e *cluster.Executor, now float64) *app.Task {
-	if len(q.queue) == 0 {
+	if len(q.tasks) == 0 {
 		return nil
 	}
 	if q.dirty {
@@ -123,18 +123,17 @@ func (q *Quincy) popPlanned(execID int) *app.Task {
 	return nil
 }
 
+// takeFromQueue removes a queued task, dropping the held network and plan
+// when the queue drains; false if the task was not queued.
 func (q *Quincy) takeFromQueue(t *app.Task) bool {
-	for i, qt := range q.queue {
-		if qt == t {
-			q.queue = append(q.queue[:i], q.queue[i+1:]...)
-			q.gen++
-			if len(q.queue) == 0 {
-				q.held = replanState{}
-			}
-			return true
-		}
+	if !q.pendingQueue.Remove(t) {
+		return false
 	}
-	return false
+	q.gen++
+	if len(q.tasks) == 0 {
+		q.held = replanState{}
+	}
+	return true
 }
 
 // replan solves the min-cost assignment of pending tasks to executor slots,
@@ -158,12 +157,12 @@ func (q *Quincy) replan() {
 	for i := range h.plan {
 		h.plan[i] = h.plan[i][:0]
 	}
-	if len(execs) == 0 || len(q.queue) == 0 {
+	if len(execs) == 0 || len(q.tasks) == 0 {
 		return
 	}
 	q.solves++
 	// Node layout: 0 source, 1..T tasks, then executors, then sink.
-	nT, nE := len(q.queue), len(execs)
+	nT, nE := len(q.tasks), len(execs)
 	execBase := 1 + nT
 	sink := execBase + nE
 	if h.g == nil {
@@ -176,14 +175,14 @@ func (q *Quincy) replan() {
 		g.AddEdge(execBase+ei, sink, float64(e.Slots()), 0)
 	}
 	h.edges = resize(h.edges, nT*nE)
-	for ti := range q.queue {
+	for ti := range q.tasks {
 		g.AddEdge(0, 1+ti, 1, 0)
 		for ei := range execs {
 			h.edges[ti*nE+ei] = g.AddEdge(1+ti, execBase+ei, 1, h.costs[ti*nE+ei])
 		}
 	}
 	g.MinCostFlow(0, sink, float64(nT))
-	for ti, t := range q.queue {
+	for ti, t := range q.tasks {
 		for ei := range execs {
 			if g.Flow(h.edges[ti*nE+ei]) > 0.5 {
 				h.plan[ei] = append(h.plan[ei], t)
@@ -203,7 +202,7 @@ func (q *Quincy) buildCosts(costs []float64, execs []*cluster.Executor) []float6
 			h.execRack = append(h.execRack, rl.Rack(e.Node.ID))
 		}
 	}
-	for _, t := range q.queue {
+	for _, t := range q.tasks {
 		var locs []int
 		if t.IsInput() {
 			locs = q.Loc.Locations(t.Block)
@@ -241,12 +240,6 @@ func resize[T any](b []T, n int) []T {
 	}
 	return b[:n]
 }
-
-// Pending implements Scheduler.
-func (q *Quincy) Pending() int { return len(q.queue) }
-
-// PendingTasks implements Scheduler.
-func (q *Quincy) PendingTasks() []*app.Task { return append([]*app.Task(nil), q.queue...) }
 
 // NextDeadline implements Scheduler: Quincy never waits, so there is no
 // time-based retry.

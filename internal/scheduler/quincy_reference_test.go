@@ -9,7 +9,8 @@ import (
 // refQuincy is the Quincy scheduler as it stood before replans learned to
 // skip unchanged networks, frozen as the oracle for FuzzQuincyEquivalence.
 // It rebuilds and solves the flow network on every replan and asks the
-// locator up to three times per (task, executor) pair.
+// locator up to three times per (task, executor) pair, by scanning
+// Locations (refLocalOn, refHasPreference).
 type refQuincy struct {
 	Loc                          Locator
 	View                         func() []*cluster.Executor
@@ -97,9 +98,9 @@ func (q *refQuincy) replan() {
 		g.AddEdge(0, 1+ti, 1, 0)
 		for ei, e := range execs {
 			cost := q.AnyCost
-			if !hasPreference(q.Loc, t) {
+			if !refHasPreference(q.Loc, t) {
 				cost = q.LocalCost
-			} else if localOn(q.Loc, t, e.Node.ID) {
+			} else if refLocalOn(q.Loc, t, e.Node.ID) {
 				cost = q.LocalCost
 			} else if hasRacks && q.rackLocal(rl, t, e.Node.ID) {
 				cost = q.RackCost

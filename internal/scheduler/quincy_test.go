@@ -13,17 +13,15 @@ import (
 // between calls, the way node failures and re-replication change a
 // NameNode's answers under a running scheduler.
 type mutLoc struct {
-	replicas map[hdfs.BlockID][]int
-	racks    []int
+	fakeLoc
+	racks []int
 }
 
-func (m *mutLoc) Locations(b hdfs.BlockID) []int { return m.replicas[b] }
-func (m *mutLoc) Rack(node int) int              { return m.racks[node] }
+func (m *mutLoc) Rack(node int) int { return m.racks[node] }
 
-// plainLoc hides mutLoc's racks, so the scheduler sees no RACK_LOCAL level.
-type plainLoc struct{ m *mutLoc }
-
-func (p plainLoc) Locations(b hdfs.BlockID) []int { return p.m.Locations(b) }
+// plainLoc exposes only a Locator's methods, hiding mutLoc's racks, so
+// Quincy sees no rack-local cost.
+type plainLoc struct{ Locator }
 
 // TestQuincyOfferSweepSolvesOnce: the driver offers every executor with a
 // free slot; against an unchanged queue and view that is one solve, not
@@ -36,7 +34,7 @@ func TestQuincyOfferSweepSolvesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loc := rackLoc{replicas: fakeLoc{0: {0}}, rackSize: 2}
+	loc := rackLoc{fakeLoc: fakeLoc{0: {0}}, rackSize: 2}
 	q := NewQuincy(loc, func() []*cluster.Executor { return c.Owned(0) })
 	t0 := mkInputTask(j, s, 0, 0, 0)
 	q.Submit([]*app.Task{t0}, 0)
@@ -79,12 +77,12 @@ func FuzzQuincyEquivalence(f *testing.F) {
 			ExecutorsPerNode: 1 + int(data[0])%2,
 			SlotsPerExecutor: 1 + int(data[0]/2)%2,
 		})
-		ml := &mutLoc{replicas: map[hdfs.BlockID][]int{}, racks: make([]int, nodes)}
+		ml := &mutLoc{fakeLoc: fakeLoc{}, racks: make([]int, nodes)}
 		for n := range ml.racks {
 			ml.racks[n] = n / 2
 		}
 		for b := 0; b < blocks; b++ {
-			ml.replicas[hdfs.BlockID(b)] = []int{b % nodes, (b + 3) % nodes}
+			ml.fakeLoc[hdfs.BlockID(b)] = []int{b % nodes, (b + 3) % nodes}
 		}
 		var loc Locator = ml
 		if data[1]%2 == 1 {
@@ -146,7 +144,7 @@ func FuzzQuincyEquivalence(f *testing.F) {
 						locs = append(locs, n)
 					}
 				}
-				ml.replicas[b] = locs
+				ml.fakeLoc[b] = locs
 			case 7: // move a node to another rack
 				ml.racks[arg%nodes] = (arg / nodes) % 3
 			case 8: // change a cost or the view order

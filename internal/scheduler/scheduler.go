@@ -6,10 +6,18 @@
 // Spark to accept resource offers and schedule tasks"), so Delay is the
 // default here. FIFO and LocalityHard (Sparrow-like hard constraints, §VII)
 // are provided as comparators.
+//
+// Schedulers ask locality questions through the Locator: "is this block on
+// that node?" is HasReplicaOn and "does it constrain placement at all?" is
+// HasReplica, both answered by the NameNode without building a replica
+// list. Only Quincy, whose rack costs need the replicas themselves, reads
+// Locations. FIFO, LocalityHard, Delay and Quincy keep their pending tasks
+// in one shared FIFO queue (pendingQueue).
 package scheduler
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
@@ -17,12 +25,17 @@ import (
 )
 
 // Locator answers block-location queries; satisfied by *hdfs.NameNode.
+// HasReplicaOn and HasReplica must agree with Locations: they are
+// slices.Contains(Locations(b), node) and len(Locations(b)) > 0, answered
+// without building the list (DESIGN.md §10, "Locality queries").
 type Locator interface {
 	Locations(hdfs.BlockID) []int
+	HasReplicaOn(b hdfs.BlockID, node int) bool
+	HasReplica(hdfs.BlockID) bool
 }
 
 // RackLocator additionally answers node→rack queries; *hdfs.NameNode
-// satisfies it. Schedulers use it for the RACK_LOCAL level when available.
+// satisfies it. Quincy uses it for its rack-local cost when available.
 type RackLocator interface {
 	Locator
 	Rack(node int) int
@@ -53,42 +66,66 @@ type Scheduler interface {
 // localOn reports whether one of the task's input-block replicas lives on
 // the node.
 func localOn(loc Locator, t *app.Task, node int) bool {
-	if !t.IsInput() {
-		return false
-	}
-	for _, n := range loc.Locations(t.Block) {
-		if n == node {
-			return true
-		}
-	}
-	return false
+	return t.IsInput() && loc.HasReplicaOn(t.Block, node)
 }
 
 // hasPreference reports whether the task constrains placement at all: input
 // tasks with at least one live replica do, everything else launches anywhere
 // immediately (Spark's "no-pref"/ANY level).
 func hasPreference(loc Locator, t *app.Task) bool {
-	return t.IsInput() && len(loc.Locations(t.Block)) > 0
+	return t.IsInput() && loc.HasReplica(t.Block)
+}
+
+// pendingQueue is the FIFO pending-task list FIFO, LocalityHard, Delay and
+// Quincy share; it supplies their Submit, Pending, PendingTasks and Remove.
+type pendingQueue struct {
+	tasks []*app.Task
+}
+
+// Submit implements Scheduler.
+func (q *pendingQueue) Submit(tasks []*app.Task, now float64) {
+	q.tasks = append(q.tasks, tasks...)
+}
+
+// Pending implements Scheduler.
+func (q *pendingQueue) Pending() int { return len(q.tasks) }
+
+// PendingTasks implements Scheduler.
+func (q *pendingQueue) PendingTasks() []*app.Task {
+	return append([]*app.Task(nil), q.tasks...)
+}
+
+// Remove implements Scheduler.
+func (q *pendingQueue) Remove(t *app.Task) bool {
+	i := slices.Index(q.tasks, t)
+	if i < 0 {
+		return false
+	}
+	q.take(i)
+	return true
+}
+
+// take removes and returns the i-th queued task.
+func (q *pendingQueue) take(i int) *app.Task {
+	t := q.tasks[i]
+	q.tasks = append(q.tasks[:i], q.tasks[i+1:]...)
+	return t
 }
 
 // Delay implements delay scheduling (Zaharia et al., EuroSys'10; Spark's
 // spark.locality.wait): a task waits up to Wait seconds for an offer from a
-// node storing its input before degrading to rack locality (when RackWait
-// is set and the locator knows racks) and finally to any executor.
+// node storing its input before accepting any executor (node → any, the
+// paper's measured configuration).
 type Delay struct {
 	Loc  Locator
 	Wait float64 // seconds; Spark default 3.0
-	// RackWait is the additional wait before giving up on rack locality and
-	// accepting any executor; zero disables the RACK_LOCAL level (node →
-	// any, the paper's measured configuration).
-	RackWait float64
 	// Hint optionally returns the manager's scheduling suggestion for a
 	// task (the executor Custody allocated with it in mind, §V). A pending
 	// task hinted to the offered executor is taken before anything else;
 	// nil disables suggestions.
 	Hint func(*app.Task) (execID int, ok bool)
 
-	queue []*app.Task
+	pendingQueue
 }
 
 // DefaultWait is Spark's spark.locality.wait default.
@@ -105,95 +142,50 @@ func NewDelay(loc Locator, wait float64) *Delay {
 // Name implements Scheduler.
 func (d *Delay) Name() string { return "delay" }
 
-// Submit implements Scheduler.
-func (d *Delay) Submit(tasks []*app.Task, now float64) {
-	d.queue = append(d.queue, tasks...)
-}
-
-// rackLocalOn reports whether a replica of the task's block shares a rack
-// with the node. Requires a RackLocator; false otherwise.
-func (d *Delay) rackLocalOn(t *app.Task, node int) bool {
-	rl, ok := d.Loc.(RackLocator)
-	if !ok || !t.IsInput() {
-		return false
-	}
-	rack := rl.Rack(node)
-	for _, n := range rl.Locations(t.Block) {
-		if rl.Rack(n) == rack {
-			return true
-		}
-	}
-	return false
-}
-
-// Offer implements Scheduler: node-local tasks first (FIFO), then
-// no-preference tasks, then — after the node wait — rack-local tasks, then
-// — after the rack wait — anything whose waits have fully expired.
+// Offer implements Scheduler: hinted tasks first, then node-local tasks,
+// then no-preference tasks, then — after the wait — anything, each level
+// in FIFO order.
 func (d *Delay) Offer(e *cluster.Executor, now float64) *app.Task {
 	node := e.Node.ID
 	// Level 0: the manager suggested this very executor for the task.
 	if d.Hint != nil {
-		for i, t := range d.queue {
+		for i, t := range d.tasks {
 			if id, ok := d.Hint(t); ok && id == e.ID {
 				return d.take(i)
 			}
 		}
 	}
 	// Level 1: node-local.
-	for i, t := range d.queue {
+	for i, t := range d.tasks {
 		if localOn(d.Loc, t, node) {
 			return d.take(i)
 		}
 	}
 	// Level 2: tasks with no locality preference launch anywhere.
-	for i, t := range d.queue {
+	for i, t := range d.tasks {
 		if !hasPreference(d.Loc, t) {
 			return d.take(i)
 		}
 	}
-	// Level 3 (optional): rack-local after the node-level wait.
-	if d.RackWait > 0 {
-		for i, t := range d.queue {
-			if now-t.ReadyAt >= d.Wait && d.rackLocalOn(t, node) {
-				return d.take(i)
-			}
-		}
-	}
-	// Level 4: all waits expired → accept any slot.
-	for i, t := range d.queue {
-		if now-t.ReadyAt >= d.Wait+d.RackWait {
+	// Level 3: wait expired → accept any slot.
+	for i, t := range d.tasks {
+		if now-t.ReadyAt >= d.Wait {
 			return d.take(i)
 		}
 	}
 	return nil
 }
 
-func (d *Delay) take(i int) *app.Task {
-	t := d.queue[i]
-	d.queue = append(d.queue[:i], d.queue[i+1:]...)
-	return t
-}
-
-// Pending implements Scheduler.
-func (d *Delay) Pending() int { return len(d.queue) }
-
-// PendingTasks implements Scheduler.
-func (d *Delay) PendingTasks() []*app.Task {
-	return append([]*app.Task(nil), d.queue...)
-}
-
-// NextDeadline implements Scheduler: the earliest upcoming level change
-// (node→rack at ReadyAt+Wait, rack→any at ReadyAt+Wait+RackWait).
+// NextDeadline implements Scheduler: the earliest wait expiry
+// (ReadyAt+Wait) among tasks with a locality preference.
 func (d *Delay) NextDeadline(now float64) (float64, bool) {
 	earliest := math.Inf(1)
-	for _, t := range d.queue {
+	for _, t := range d.tasks {
 		if !hasPreference(d.Loc, t) {
 			continue
 		}
-		for _, dl := range [2]float64{t.ReadyAt + d.Wait, t.ReadyAt + d.Wait + d.RackWait} {
-			if dl > now && dl < earliest {
-				earliest = dl
-			}
+		if dl := t.ReadyAt + d.Wait; dl > now && dl < earliest {
+			earliest = dl
 		}
 	}
 	if math.IsInf(earliest, 1) {
@@ -202,21 +194,10 @@ func (d *Delay) NextDeadline(now float64) (float64, bool) {
 	return earliest, true
 }
 
-// Remove implements Scheduler.
-func (d *Delay) Remove(t *app.Task) bool {
-	for i, q := range d.queue {
-		if q == t {
-			d.take(i)
-			return true
-		}
-	}
-	return false
-}
-
 // FIFO launches the oldest pending task on any offered executor — no data
 // awareness at all.
 type FIFO struct {
-	queue []*app.Task
+	pendingQueue
 }
 
 // NewFIFO builds a FIFO scheduler.
@@ -225,38 +206,16 @@ func NewFIFO() *FIFO { return &FIFO{} }
 // Name implements Scheduler.
 func (f *FIFO) Name() string { return "fifo" }
 
-// Submit implements Scheduler.
-func (f *FIFO) Submit(tasks []*app.Task, now float64) { f.queue = append(f.queue, tasks...) }
-
 // Offer implements Scheduler.
 func (f *FIFO) Offer(e *cluster.Executor, now float64) *app.Task {
-	if len(f.queue) == 0 {
+	if len(f.tasks) == 0 {
 		return nil
 	}
-	t := f.queue[0]
-	f.queue = f.queue[1:]
-	return t
+	return f.take(0)
 }
-
-// Pending implements Scheduler.
-func (f *FIFO) Pending() int { return len(f.queue) }
-
-// PendingTasks implements Scheduler.
-func (f *FIFO) PendingTasks() []*app.Task { return append([]*app.Task(nil), f.queue...) }
 
 // NextDeadline implements Scheduler.
 func (f *FIFO) NextDeadline(now float64) (float64, bool) { return 0, false }
-
-// Remove implements Scheduler.
-func (f *FIFO) Remove(t *app.Task) bool {
-	for i, q := range f.queue {
-		if q == t {
-			f.queue = append(f.queue[:i], f.queue[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
 
 // LocalityHard imposes locality as a hard constraint (Sparrow-style, §VII):
 // input tasks with live replicas only ever launch on nodes storing their
@@ -266,8 +225,8 @@ func (f *FIFO) Remove(t *app.Task) bool {
 // points out ("while lacks discussions about how to access the executors
 // storing the relevant data").
 type LocalityHard struct {
-	Loc   Locator
-	queue []*app.Task
+	Loc Locator
+	pendingQueue
 }
 
 // NewLocalityHard builds a hard-constraint scheduler.
@@ -276,38 +235,16 @@ func NewLocalityHard(loc Locator) *LocalityHard { return &LocalityHard{Loc: loc}
 // Name implements Scheduler.
 func (l *LocalityHard) Name() string { return "locality-hard" }
 
-// Submit implements Scheduler.
-func (l *LocalityHard) Submit(tasks []*app.Task, now float64) { l.queue = append(l.queue, tasks...) }
-
 // Offer implements Scheduler.
 func (l *LocalityHard) Offer(e *cluster.Executor, now float64) *app.Task {
 	node := e.Node.ID
-	for i, t := range l.queue {
+	for i, t := range l.tasks {
 		if localOn(l.Loc, t, node) || !hasPreference(l.Loc, t) {
-			q := l.queue[i]
-			l.queue = append(l.queue[:i], l.queue[i+1:]...)
-			return q
+			return l.take(i)
 		}
 	}
 	return nil
 }
 
-// Pending implements Scheduler.
-func (l *LocalityHard) Pending() int { return len(l.queue) }
-
-// PendingTasks implements Scheduler.
-func (l *LocalityHard) PendingTasks() []*app.Task { return append([]*app.Task(nil), l.queue...) }
-
 // NextDeadline implements Scheduler.
 func (l *LocalityHard) NextDeadline(now float64) (float64, bool) { return 0, false }
-
-// Remove implements Scheduler.
-func (l *LocalityHard) Remove(t *app.Task) bool {
-	for i, q := range l.queue {
-		if q == t {
-			l.queue = append(l.queue[:i], l.queue[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
